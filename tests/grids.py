@@ -133,3 +133,115 @@ CYCLIC_TRANSVERSAL_COUNTS = (1, 0, 3, 0, 15, 0, 133)
 # Completion counts of the empty grid, orders 1..4 (number of Latin
 # squares of each order).
 EMPTY_COMPLETION_COUNTS = (1, 2, 12, 576)
+
+# Complete provenance maps of the reference constructions, frozen cell by
+# cell.  One string per output row, one token per cell: the letter of the
+# CellOrigin kind followed by its step (no digits when the step is None).
+#   u unchanged   v vacated        c projected_col   r projected_row
+#   k kept        b border_fill    d diagonal_seed   s completed
+PROVENANCE_LETTERS = {
+    "unchanged": "u", "vacated": "v", "projected_col": "c",
+    "projected_row": "r", "kept": "k", "border_fill": "b",
+    "diagonal_seed": "d", "completed": "s",
+}
+
+# prolong_bruck(CYCLIC3, T_BLUE)
+BRUCK_PROV4 = (
+    "u u v1 c1",
+    "v1 u u c1",
+    "u v1 u c1",
+    "r1 r1 r1 b1",
+)
+
+# prolong_disjoint(CYCLIC3, [T_YELLOW, T_GREEN], bottom=[[5,4],[4,5]])
+DISJ_PROV5 = (
+    "v1 v2 u c1 c2",
+    "u v1 v2 c1 c2",
+    "v2 u v1 c1 c2",
+    "r1 r1 r1 b b",
+    "r2 r2 r2 b b",
+)
+
+# ... same with row_assign=(2,1)
+DISJ_PROV5_SWAPPED = (
+    "v1 v2 u c1 c2",
+    "u v1 v2 c1 c2",
+    "v2 u v1 c1 c2",
+    "r2 r2 r2 b b",
+    "r1 r1 r1 b b",
+)
+
+# prolong_disjoint(CYCLIC3, [T_YELLOW, T_GREEN, T_BLUE], fill=(6,5,4))
+DISJ_PROV6 = (
+    "v1 v2 v3 c1 c2 c3",
+    "v3 v1 v2 c1 c2 c3",
+    "v2 v3 v1 c1 c2 c3",
+    "r1 r1 r1 b b b",
+    "r2 r2 r2 b b b",
+    "r3 r3 r3 b b b",
+)
+
+# prolong_belyavskaya(CYCLIC3, T_BLUE, excepted (2,1))
+BEL_PROV4 = (
+    "u u v1 c1",
+    "k1 u u b1",
+    "u v1 u c1",
+    "b1 r1 r1 d1",
+)
+
+# prolong_belyavskaya_gen(CYCLIC3, [(T_YELLOW,(1,1)), (T_GREEN,(2,3))],
+# fill=(5,4)), its only completion (GENBEL_OUT5)
+GENBEL_PROV5 = (
+    "k1 v2 u b1 c2",
+    "u v1 k2 c1 b2",
+    "v2 u v1 c1 c2",
+    "b1 r1 r1 s s",
+    "r2 r2 b2 s s",
+)
+
+# prolong_dd(QC_BASE4, QC_SIGMA, kept_x=4)
+DD_PROV5 = (
+    "v1 u u u c1",
+    "u u v1 u c1",
+    "u v1 u u c1",
+    "u u u k1 b1",
+    "r1 r1 r1 b1 d1",
+)
+
+# prolong_dd_gen(QC_BASE4, [((1,3,2,4),4), ((2,1,4,3),4)]) (GENDD_OUT6)
+GENDD_PROV6 = (
+    "v1 v2 u u c1 c2",
+    "v2 u v1 u c1 c2",
+    "u v1 u v2 c1 c2",
+    "u u k2 k1 s s",
+    "r1 r1 r1 s d1 s",
+    "r2 r2 s r2 s d2",
+)
+
+# ... same with col_assign=(2,1): the diagonal seeds follow the new columns.
+GENDD_PROV6_SWAPPED = (
+    "v1 v2 u u c2 c1",
+    "v2 u v1 u c2 c1",
+    "u v1 u v2 c2 c1",
+    "u u k2 k1 s s",
+    "r1 r1 r1 s s d1",
+    "r2 r2 s r2 d2 s",
+)
+
+# two_step(CYCLIC3, T_BLUE, T_YELLOW, first="belyavskaya", excepted=(2,1))
+TWOSTEP_PROV5 = (
+    "v2 u v1 c1 c2",
+    "k1 v2 u b1 c2",
+    "u v1 v2 c1 c2",
+    "b1 r1 r1 k2 b2",
+    "r2 r2 r2 b2 d2",
+)
+
+# two_step(CYCLIC3, T_BLUE, T_YELLOW, first="bruck")
+TWOSTEP_BRUCK_PROV5 = (
+    "v2 u v1 c1 c2",
+    "v1 v2 u c1 c2",
+    "u v1 v2 c1 c2",
+    "r1 r1 r1 v2 c2",
+    "r2 r2 r2 r2 b2",
+)

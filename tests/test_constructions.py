@@ -428,3 +428,58 @@ class TestReportPlumbing:
         moved = permuted(rep.output, row_perm=(4, 1, 2, 3), col_perm=(4, 1, 2, 3))
         assert moved.cell(1, 1) == 4
         assert is_latin(moved)
+
+
+def _only(reports):
+    assert len(reports) == 1
+    return reports[0]
+
+
+FROZEN_PROVENANCE = {
+    "bruck": (lambda: prolong_bruck(CYC3, grids.T_BLUE), grids.BRUCK_PROV4),
+    "disjoint_k2": (
+        lambda: prolong_disjoint(CYC3, [grids.T_YELLOW, grids.T_GREEN],
+                                 bottom=[[5, 4], [4, 5]]),
+        grids.DISJ_PROV5),
+    "disjoint_k2_row_assign": (
+        lambda: prolong_disjoint(CYC3, [grids.T_YELLOW, grids.T_GREEN],
+                                 bottom=[[5, 4], [4, 5]], row_assign=(2, 1)),
+        grids.DISJ_PROV5_SWAPPED),
+    "disjoint_k3": (
+        lambda: prolong_disjoint(CYC3, [grids.T_YELLOW, grids.T_GREEN, grids.T_BLUE],
+                                 fill=(6, 5, 4)),
+        grids.DISJ_PROV6),
+    "belyavskaya": (lambda: prolong_belyavskaya(CYC3, grids.T_BLUE, (2, 1)),
+                    grids.BEL_PROV4),
+    "belyavskaya_gen": (
+        lambda: _only(prolong_belyavskaya_gen(
+            CYC3, [(grids.T_YELLOW, (1, 1)), (grids.T_GREEN, (2, 3))], fill=(5, 4))),
+        grids.GENBEL_PROV5),
+    "dd": (lambda: prolong_dd(QC4, grids.QC_SIGMA, kept_x=4), grids.DD_PROV5),
+    "dd_gen": (
+        lambda: _only(prolong_dd_gen(QC4, [((1, 3, 2, 4), 4), ((2, 1, 4, 3), 4)])),
+        grids.GENDD_PROV6),
+    "dd_gen_col_assign": (
+        lambda: _only(prolong_dd_gen(QC4, [((1, 3, 2, 4), 4), ((2, 1, 4, 3), 4)],
+                                     col_assign=(2, 1))),
+        grids.GENDD_PROV6_SWAPPED),
+    "two_step_belyavskaya": (
+        lambda: two_step(CYC3, grids.T_BLUE, grids.T_YELLOW,
+                         first="belyavskaya", excepted=(2, 1)),
+        grids.TWOSTEP_PROV5),
+    "two_step_bruck": (
+        lambda: two_step(CYC3, grids.T_BLUE, grids.T_YELLOW, first="bruck"),
+        grids.TWOSTEP_BRUCK_PROV5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_PROVENANCE))
+def test_frozen_provenance(name):
+    build, expected = FROZEN_PROVENANCE[name]
+    rep = build()
+    m = rep.output.order
+    tokens = tuple(
+        " ".join(grids.PROVENANCE_LETTERS[o.kind] + ("" if o.step is None else str(o.step))
+                 for o in (rep.provenance[(r, c)] for c in range(1, m + 1)))
+        for r in range(1, m + 1))
+    assert tokens == expected
