@@ -60,7 +60,6 @@ from .mappings import (
     iter_quasicomplete_mappings,
     iter_transversals,
     transversal_of,
-    transversal_to_mapping,
 )
 
 __version__ = "0.1.0"
@@ -102,7 +101,6 @@ __all__ = [
     "prolong_disjoint",
     "random_square",
     "transversal_of",
-    "transversal_to_mapping",
     "two_step",
     "validate",
 ]

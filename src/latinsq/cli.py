@@ -119,14 +119,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="order-k LSQ square for the bottom block (symbols 1..k)")
     p.add_argument("--t1", metavar="PERM", help="first transversal (two-step)")
     p.add_argument("--t2", metavar="PERM", help="second transversal (two-step)")
-    p.add_argument("--first", choices=["bruck", "belyavskaya"], default="bruck",
+    p.add_argument("--first", choices=["bruck", "belyavskaya"],
                    help="first step of two-step (default bruck)")
-    p.add_argument("--limit", type=int, default=1, metavar="N",
+    p.add_argument("--limit", type=int, metavar="N",
                    help="completions per generalized construction "
                         "(default 1; 0 = no limit)")
     p.add_argument("--no-diag-seed", dest="diag_seed", action="store_false",
+                   default=None,
                    help="leave the gen-dd diagonal to the completion search")
-    p.set_defaults(func=_cmd_prolong, diag_seed=True)
+    p.set_defaults(func=_cmd_prolong)
 
     p = sub.add_parser("contract", help="run a contraction (inverse prolongation)")
     p.add_argument("file")
@@ -163,10 +164,6 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
                           f"got {text!r}") from None
 
 
-def _opt_ints(text, flag):
-    return None if text is None else _parse_ints(text, flag)
-
-
 def _one(values, flag: str):
     if not values or len(values) != 1:
         raise DomainError(f"{flag} must be given exactly once for this method")
@@ -179,13 +176,24 @@ def _many(values, flag: str):
     return values
 
 
-def _limit(value: int):
-    return None if value == 0 else value
+def _perms(values, flag: str) -> list[tuple[int, ...]]:
+    return [_parse_ints(s, flag) for s in _many(values, flag)]
+
+
+def _limit(value: int | None):
+    return value or None  # 0 and an absent flag both mean no limit
 
 
 def _emit(blocks) -> int:
     sys.stdout.write("\n".join(blocks))
     return 0
+
+
+def _emit_squares(squares) -> int:
+    if not squares:
+        print("no completion exists", file=sys.stderr)
+        return 3
+    return _emit([core.format_lsq(sq) for sq in squares])
 
 
 def _fmt_perm(seq) -> str:
@@ -207,20 +215,19 @@ def _cmd_gen(args) -> int:
 def _cmd_complete(args) -> int:
     grid = core.parse_lsq(_read_text(args.file))
     limit = None if args.all else _limit(args.limit)
-    found = core.complete_partial(grid, limit=limit)
-    if not found:
-        print("no completion exists", file=sys.stderr)
-        return 3
-    return _emit([core.format_lsq(sq) for sq in found])
+    return _emit_squares(core.complete_partial(grid, limit=limit))
 
 
-def _list_results(args, enumerate_all, enumerate_capped, to_line) -> int:
-    """Shared count/list logic: counts are exact, lists honor --limit."""
+def _list_results(args, find, to_line) -> int:
+    """Shared count/list logic: counts are exact, lists honor --limit.
+
+    find(limit) returns the first `limit` results (None = all of them).
+    """
     if args.mode == "count":
-        print(len(enumerate_all()))
+        print(len(find(None)))
         return 0
-    limit = _limit(args.limit) if args.limit is not None else None
-    items = enumerate_capped(None if limit is None else limit + 1)
+    limit = _limit(args.limit)
+    items = find(None if limit is None else limit + 1)
     truncated = limit is not None and len(items) > limit
     for item in items[:limit]:
         print(to_line(item))
@@ -235,12 +242,10 @@ def _cmd_transversals(args) -> int:
     if k is None:
         return _list_results(
             args,
-            lambda: mappings.find_transversals(sq),
             lambda cap: mappings.find_transversals(sq, limit=cap),
             lambda t: _fmt_perm(t.cols))
     return _list_results(
         args,
-        lambda: mappings.find_disjoint_transversals(sq, k),
         lambda cap: mappings.find_disjoint_transversals(sq, k, limit=cap),
         lambda fam: " ; ".join(_fmt_perm(t.cols) for t in fam))
 
@@ -249,7 +254,6 @@ def _cmd_qcmappings(args) -> int:
     sq = _load_full(args.file)
     return _list_results(
         args,
-        lambda: mappings.find_quasicomplete_mappings(sq),
         lambda cap: mappings.find_quasicomplete_mappings(sq, limit=cap),
         lambda rec: _fmt_perm(rec.sigma))
 
@@ -257,17 +261,18 @@ def _cmd_qcmappings(args) -> int:
 _PROLONG_FLAGS = {
     "transversal": "--transversal", "sigma": "--sigma", "excepts": "--except",
     "keeps": "--keep", "fill": "--fill", "cols": "--cols", "rows": "--rows",
-    "bottom": "--bottom", "t1": "--t1", "t2": "--t2",
+    "bottom": "--bottom", "t1": "--t1", "t2": "--t2", "first": "--first",
+    "limit": "--limit", "diag_seed": "--no-diag-seed",
 }
 
 _PROLONG_ALLOWED = {
     "bruck": {"transversal"},
     "disjoint": {"transversal", "fill", "cols", "rows", "bottom"},
     "belyavskaya": {"transversal", "excepts"},
-    "gen-belyavskaya": {"transversal", "excepts", "fill", "cols", "rows"},
+    "gen-belyavskaya": {"transversal", "excepts", "fill", "cols", "rows", "limit"},
     "dd": {"sigma", "keeps"},
-    "gen-dd": {"sigma", "keeps", "fill", "cols", "rows"},
-    "two-step": {"t1", "t2", "excepts", "keeps"},
+    "gen-dd": {"sigma", "keeps", "fill", "cols", "rows", "limit", "diag_seed"},
+    "two-step": {"t1", "t2", "excepts", "keeps", "first"},
 }
 
 
@@ -279,31 +284,38 @@ def _excepted_cell(sq, cols, row):
     return t, (row, t.cols[row - 1])
 
 
+def _assignments(args) -> dict:
+    """The fill/col_assign/row_assign keywords from --fill/--cols/--rows."""
+    return {kw: None if text is None else _parse_ints(text, flag)
+            for kw, text, flag in (("fill", args.fill, "--fill"),
+                                   ("col_assign", args.cols, "--cols"),
+                                   ("row_assign", args.rows, "--rows"))}
+
+
 def _cmd_prolong(args) -> int:
     sq = _load_full(args.file)
     method = args.method
     allowed = _PROLONG_ALLOWED[method]
     for attr, flag in _PROLONG_FLAGS.items():
         if attr not in allowed and getattr(args, attr) is not None:
-            raise DomainError(f"{flag} does not apply to --method {method}")
-    if not args.diag_seed and method != "gen-dd":
-        raise DomainError("--no-diag-seed applies only to --method gen-dd")
+            takers = ", ".join(m for m, flags in _PROLONG_ALLOWED.items()
+                               if attr in flags)
+            raise DomainError(
+                f"{flag} does not apply to --method {method} (only to {takers})")
+    limit = 1 if args.limit is None else _limit(args.limit)
 
     if method == "bruck":
         cols = _parse_ints(_one(args.transversal, "--transversal"), "--transversal")
         return _emit_reports([constructions.prolong_bruck(sq, cols)])
 
     if method == "disjoint":
-        perms = [_parse_ints(s, "--transversal")
-                 for s in _many(args.transversal, "--transversal")]
         bottom = None
         if args.bottom is not None:
             bottom = tuple(tuple(v + sq.order for v in row)
                            for row in _load_full(args.bottom).rows)
         rep = constructions.prolong_disjoint(
-            sq, perms, fill=_opt_ints(args.fill, "--fill"),
-            col_assign=_opt_ints(args.cols, "--cols"),
-            row_assign=_opt_ints(args.rows, "--rows"), bottom=bottom)
+            sq, _perms(args.transversal, "--transversal"), bottom=bottom,
+            **_assignments(args))
         return _emit_reports([rep])
 
     if method == "belyavskaya":
@@ -312,17 +324,13 @@ def _cmd_prolong(args) -> int:
         return _emit_reports([constructions.prolong_belyavskaya(sq, t, cell)])
 
     if method == "gen-belyavskaya":
-        perms = [_parse_ints(s, "--transversal")
-                 for s in _many(args.transversal, "--transversal")]
+        perms = _perms(args.transversal, "--transversal")
         rows = _many(args.excepts, "--except")
         if len(rows) != len(perms):
             raise DomainError("need exactly one --except per --transversal")
         pairs = [_excepted_cell(sq, cols, row) for cols, row in zip(perms, rows)]
-        reports = constructions.prolong_belyavskaya_gen(
-            sq, pairs, fill=_opt_ints(args.fill, "--fill"),
-            col_assign=_opt_ints(args.cols, "--cols"),
-            row_assign=_opt_ints(args.rows, "--rows"), limit=_limit(args.limit))
-        return _emit_reports(reports)
+        return _emit_reports(constructions.prolong_belyavskaya_gen(
+            sq, pairs, limit=limit, **_assignments(args)))
 
     if method == "dd":
         sigma = _parse_ints(_one(args.sigma, "--sigma"), "--sigma")
@@ -330,40 +338,32 @@ def _cmd_prolong(args) -> int:
         return _emit_reports([constructions.prolong_dd(sq, sigma, kept)])
 
     if method == "gen-dd":
-        sigmas = [_parse_ints(s, "--sigma") for s in _many(args.sigma, "--sigma")]
-        keeps = args.keeps
-        if keeps is None:
-            keeps = [None] * len(sigmas)
-        elif len(keeps) != len(sigmas):
+        sigmas = _perms(args.sigma, "--sigma")
+        keeps = args.keeps or [None] * len(sigmas)
+        if len(keeps) != len(sigmas):
             raise DomainError("need exactly one --keep per --sigma, or none at all")
-        reports = constructions.prolong_dd_gen(
-            sq, list(zip(sigmas, keeps)), fill=_opt_ints(args.fill, "--fill"),
-            col_assign=_opt_ints(args.cols, "--cols"),
-            row_assign=_opt_ints(args.rows, "--rows"),
-            seed_diagonal=args.diag_seed, limit=_limit(args.limit))
-        return _emit_reports(reports)
+        return _emit_reports(constructions.prolong_dd_gen(
+            sq, list(zip(sigmas, keeps)), seed_diagonal=args.diag_seed is None,
+            limit=limit, **_assignments(args)))
 
     # two-step
     if args.t1 is None or args.t2 is None:
         raise DomainError("--t1 and --t2 are required for --method two-step")
     c1 = _parse_ints(args.t1, "--t1")
     c2 = _parse_ints(args.t2, "--t2")
-    excepted = None
+    excepted = kept = None
     if args.first == "belyavskaya":
         _, excepted = _excepted_cell(sq, c1, _one(args.excepts, "--except"))
-    elif args.excepts is not None:
-        raise DomainError("--except requires --first belyavskaya")
-    kept = _one(args.keeps, "--keep") if args.keeps is not None else None
-    rep = constructions.two_step(sq, c1, c2, first=args.first,
+        kept = _one(args.keeps, "--keep") if args.keeps is not None else None
+    elif args.excepts is not None or args.keeps is not None:
+        raise DomainError("--except and --keep require --first belyavskaya")
+    rep = constructions.two_step(sq, c1, c2, first=args.first or "bruck",
                                  excepted=excepted, kept_choice=kept)
     return _emit_reports([rep])
 
 
 def _emit_reports(reports) -> int:
-    if not reports:
-        print("no completion exists", file=sys.stderr)
-        return 3
-    return _emit([core.format_lsq(rep.output) for rep in reports])
+    return _emit_squares([rep.output for rep in reports])
 
 
 def _cmd_contract(args) -> int:

@@ -15,6 +15,14 @@ Operations, by parameter object:
 * inverses:               contract_bruck, contract_except,
                           feasible_contractions
 
+All six prolongations run one projection kernel.  It vacates every
+cell of each parameter object except an optional kept one, moves the
+values into the new rows and columns, and records the provenance; the
+operations differ only in the cell they keep and in how they fill the
+rest of the new block: the corner (prolong_bruck, prolong_belyavskaya,
+prolong_dd), a literal bottom block (prolong_disjoint), or the
+completion search (the generalized ones).
+
 The single-parameter operations are fully deterministic.  The
 generalized ones (prolong_belyavskaya_gen, prolong_dd_gen) place every
 forced cell and hand the remainder to the completion solver, returning
@@ -138,34 +146,57 @@ def _check_disjoint(cell_sets: Sequence[Sequence[tuple[int, int]]],
             seen[cell] = j
 
 
-def _plan(n: int, k: int, fill, col_assign, row_assign):
-    """Validate the shared prolongation parameters; apply defaults."""
+def _project(square: LatinSquare, objs, fill, col_assign, row_assign,
+             border: bool = True, what: str = "transversals"):
+    """The projection shared by every prolongation.
+
+    objs holds one (cols, values, kept_row | None) per parameter object.
+    Object j's cells other than the kept one are vacated with fill(j),
+    their values moved to new column n+col_assign(j) of their row and
+    new row n+row_assign(j) of their column.  When `border`, the two
+    cells the kept cell would have projected into receive fill(j);
+    otherwise they stay unfilled.  Checks fill, the assignments (None =
+    defaults) and that the objects (`what`) are disjoint.  Returns the
+    working grid (0 = unfilled), its provenance, and each object's
+    (new row, new column) crossing in the k x k block.
+    """
+    n = square.order
+    k = len(objs)
     if not 1 <= k <= n:
         raise DomainError(f"need between 1 and {n} parameter objects, got {k}")
-    if fill is None:
-        fill = tuple(range(n + 1, n + k + 1))
-    fill = tuple(fill)
+    fill = tuple(range(n + 1, n + k + 1) if fill is None else fill)
     if sorted(fill) != list(range(n + 1, n + k + 1)):
         raise DomainError(
             f"fill must be a bijection onto {n + 1}..{n + k}, got {fill}")
-    ca = tuple(_check_perm(col_assign, k, "col_assign")) if col_assign \
-        else tuple(range(1, k + 1))
-    ra = tuple(_check_perm(row_assign, k, "row_assign")) if row_assign \
-        else tuple(range(1, k + 1))
-    return fill, ca, ra
-
-
-def _base(square: LatinSquare, k: int):
-    """Order-(n+k) working grid (0 = unfilled) with unchanged provenance."""
-    n = square.order
-    m = n + k
-    grid = [[0] * m for _ in range(m)]
-    prov: dict[tuple[int, int], CellOrigin] = {}
-    for r in range(n):
-        for c in range(n):
-            grid[r][c] = square.rows[r][c]
-            prov[(r + 1, c + 1)] = CellOrigin("unchanged")
-    return grid, prov
+    ca = tuple(_check_perm(col_assign, k, "col_assign")) \
+        if col_assign is not None else tuple(range(1, k + 1))
+    ra = tuple(_check_perm(row_assign, k, "row_assign")) \
+        if row_assign is not None else tuple(range(1, k + 1))
+    _check_disjoint([list(enumerate(cols, start=1)) for cols, _, _ in objs], what)
+    grid = [list(row) + [0] * k for row in square.rows]
+    grid += [[0] * (n + k) for _ in range(k)]
+    unchanged = CellOrigin("unchanged")
+    prov = {(r, c): unchanged for r in range(1, n + 1) for c in range(1, n + 1)}
+    crossings = []
+    for j, (cols, values, kept) in enumerate(objs, start=1):
+        f, nr, nc = fill[j - 1], n + ra[j - 1], n + ca[j - 1]
+        crossings.append((nr, nc))
+        for x, (c, v) in enumerate(zip(cols, values), start=1):
+            if x == kept:
+                prov[(x, c)] = CellOrigin("kept", j)
+                if border:
+                    grid[x - 1][nc - 1] = f
+                    prov[(x, nc)] = CellOrigin("border_fill", j)
+                    grid[nr - 1][c - 1] = f
+                    prov[(nr, c)] = CellOrigin("border_fill", j)
+                continue
+            grid[x - 1][c - 1] = f
+            prov[(x, c)] = CellOrigin("vacated", j)
+            grid[x - 1][nc - 1] = v
+            prov[(x, nc)] = CellOrigin("projected_col", j)
+            grid[nr - 1][c - 1] = v
+            prov[(nr, c)] = CellOrigin("projected_row", j)
+    return grid, prov, crossings
 
 
 def _finish(grid, prov, **extra) -> ConstructionReport:
@@ -174,6 +205,33 @@ def _finish(grid, prov, **extra) -> ConstructionReport:
     except GridError as exc:  # unreachable for valid parameters
         raise LatinError(f"construction produced an invalid square: {exc}")
     return ConstructionReport(out, prov, **extra)
+
+
+def _prolong_one(square: LatinSquare, obj, corner: int,
+                 kind: str) -> ConstructionReport:
+    """Project one parameter object and write `corner` at (n+1, n+1)."""
+    grid, prov, [(r, c)] = _project(square, [obj], None, None, None)
+    grid[r - 1][c - 1] = corner
+    prov[(r, c)] = CellOrigin(kind, 1)
+    return _finish(grid, prov)
+
+
+def _excepted_row(t: Transversal, cell, where: str) -> int:
+    """The row of `cell`, which must lie on the transversal t."""
+    x0, y0 = cell
+    if not (1 <= x0 <= t.order and t.cols[x0 - 1] == y0):
+        raise DomainError(f"excepted cell {cell} does not lie on {where}")
+    return x0
+
+
+def _kept_row(rec: MappingRecord, kept_x: int | None) -> int:
+    """kept_x, which must be in rec's duplicate pair (None = its larger)."""
+    if kept_x is None:
+        kept_x = rec.duplicate_pair[1]
+    if kept_x not in rec.duplicate_pair:
+        raise DomainError(
+            f"kept row {kept_x} is not in the duplicate pair {rec.duplicate_pair}")
+    return kept_x
 
 
 def prolong_bruck(square, transversal) -> ConstructionReport:
@@ -185,20 +243,8 @@ def prolong_bruck(square, transversal) -> ConstructionReport:
     """
     square = _as_square(square)
     t = _as_transversal(square, transversal)
-    n = square.order
-    m = n + 1
-    grid, prov = _base(square, 1)
-    for x in range(1, n + 1):
-        c, v = t.cols[x - 1], t.values[x - 1]
-        grid[x - 1][c - 1] = m
-        prov[(x, c)] = CellOrigin("vacated", 1)
-        grid[x - 1][m - 1] = v
-        prov[(x, m)] = CellOrigin("projected_col", 1)
-        grid[m - 1][c - 1] = v
-        prov[(m, c)] = CellOrigin("projected_row", 1)
-    grid[m - 1][m - 1] = m
-    prov[(m, m)] = CellOrigin("border_fill", 1)
-    return _finish(grid, prov)
+    return _prolong_one(square, (t.cols, t.values, None), square.order + 1,
+                        "border_fill")
 
 
 def prolong_disjoint(square, transversals, fill=None, col_assign=None,
@@ -215,25 +261,11 @@ def prolong_disjoint(square, transversals, fill=None, col_assign=None,
     square = _as_square(square)
     n = square.order
     ts = [_as_transversal(square, t) for t in transversals]
-    k = len(ts)
-    fill, ca, ra = _plan(n, k, fill, col_assign, row_assign)
-    _check_disjoint([t.cells() for t in ts], "transversals")
-    bot = _check_bottom(bottom, n, k)
-
-    grid, prov = _base(square, k)
-    for j, t in enumerate(ts, start=1):
-        nc, nr = n + ca[j - 1], n + ra[j - 1]
-        for x in range(1, n + 1):
-            c, v = t.cols[x - 1], t.values[x - 1]
-            grid[x - 1][c - 1] = fill[j - 1]
-            prov[(x, c)] = CellOrigin("vacated", j)
-            grid[x - 1][nc - 1] = v
-            prov[(x, nc)] = CellOrigin("projected_col", j)
-            grid[nr - 1][c - 1] = v
-            prov[(nr, c)] = CellOrigin("projected_row", j)
-    for i in range(k):
-        for j in range(k):
-            grid[n + i][n + j] = bot[i][j]
+    grid, prov, _ = _project(square, [(t.cols, t.values, None) for t in ts],
+                             fill, col_assign, row_assign)
+    for i, row in enumerate(_check_bottom(bottom, n, len(ts))):
+        for j, v in enumerate(row):
+            grid[n + i][n + j] = v
             prov[(n + i + 1, n + j + 1)] = CellOrigin("border_fill")
     return _finish(grid, prov)
 
@@ -265,32 +297,9 @@ def prolong_belyavskaya(square, transversal, excepted) -> ConstructionReport:
     """
     square = _as_square(square)
     t = _as_transversal(square, transversal)
-    n = square.order
-    m = n + 1
-    x0, y0 = excepted
-    if not (1 <= x0 <= n and t.cols[x0 - 1] == y0):
-        raise DomainError(
-            f"excepted cell {excepted} does not lie on the transversal")
-    a = t.values[x0 - 1]
-    grid, prov = _base(square, 1)
-    for x in range(1, n + 1):
-        c, v = t.cols[x - 1], t.values[x - 1]
-        if x == x0:
-            prov[(x, c)] = CellOrigin("kept", 1)
-            grid[x - 1][m - 1] = m
-            prov[(x, m)] = CellOrigin("border_fill", 1)
-            grid[m - 1][c - 1] = m
-            prov[(m, c)] = CellOrigin("border_fill", 1)
-            continue
-        grid[x - 1][c - 1] = m
-        prov[(x, c)] = CellOrigin("vacated", 1)
-        grid[x - 1][m - 1] = v
-        prov[(x, m)] = CellOrigin("projected_col", 1)
-        grid[m - 1][c - 1] = v
-        prov[(m, c)] = CellOrigin("projected_row", 1)
-    grid[m - 1][m - 1] = a
-    prov[(m, m)] = CellOrigin("diagonal_seed", 1)
-    return _finish(grid, prov)
+    x0 = _excepted_row(t, excepted, "the transversal")
+    return _prolong_one(square, (t.cols, t.values, x0), t.values[x0 - 1],
+                        "diagonal_seed")
 
 
 def prolong_belyavskaya_gen(square, pairs, fill=None, col_assign=None,
@@ -308,44 +317,15 @@ def prolong_belyavskaya_gen(square, pairs, fill=None, col_assign=None,
     completion exists.
     """
     square = _as_square(square)
-    n = square.order
-    ts = []
-    excepts = []
+    objs = []
     for t, e in pairs:
         t = _as_transversal(square, t)
-        x0, y0 = e
-        if not (1 <= x0 <= n and t.cols[x0 - 1] == y0):
-            raise DomainError(
-                f"excepted cell {tuple(e)} does not lie on its transversal")
-        ts.append(t)
-        excepts.append((x0, y0))
-    k = len(ts)
-    fill, ca, ra = _plan(n, k, fill, col_assign, row_assign)
-    _check_disjoint([t.cells() for t in ts], "transversals")
-
-    grid, prov = _base(square, k)
-    for j, (t, (x0, y0)) in enumerate(zip(ts, excepts), start=1):
-        nc, nr = n + ca[j - 1], n + ra[j - 1]
-        for x in range(1, n + 1):
-            c, v = t.cols[x - 1], t.values[x - 1]
-            if x == x0:
-                prov[(x, c)] = CellOrigin("kept", j)
-                grid[x - 1][nc - 1] = fill[j - 1]
-                prov[(x, nc)] = CellOrigin("border_fill", j)
-                grid[nr - 1][c - 1] = fill[j - 1]
-                prov[(nr, c)] = CellOrigin("border_fill", j)
-                continue
-            grid[x - 1][c - 1] = fill[j - 1]
-            prov[(x, c)] = CellOrigin("vacated", j)
-            grid[x - 1][nc - 1] = v
-            prov[(x, nc)] = CellOrigin("projected_col", j)
-            grid[nr - 1][c - 1] = v
-            prov[(nr, c)] = CellOrigin("projected_row", j)
-    return _complete_reports(grid, prov, n, k, limit)
+        objs.append((t.cols, t.values, _excepted_row(t, tuple(e), "its transversal")))
+    grid, prov, _ = _project(square, objs, fill, col_assign, row_assign)
+    return _complete_reports(grid, prov, limit)
 
 
-def _complete_reports(grid, prov, n: int, k: int,
-                      limit: int | None) -> list[ConstructionReport]:
+def _complete_reports(grid, prov, limit: int | None) -> list[ConstructionReport]:
     """Resolve the unfilled cells by search; one report per completion."""
     partial = PartialLatinSquare(tuple(
         tuple(v if v else None for v in row) for row in grid))
@@ -367,32 +347,8 @@ def prolong_dd(square, mapping, kept_x: int | None = None) -> ConstructionReport
     """
     square = _as_square(square)
     rec = _as_quasicomplete(square, mapping)
-    n = square.order
-    m = n + 1
-    if kept_x is None:
-        kept_x = rec.duplicate_pair[1]
-    if kept_x not in rec.duplicate_pair:
-        raise DomainError(
-            f"kept row {kept_x} is not in the duplicate pair {rec.duplicate_pair}")
-    grid, prov = _base(square, 1)
-    for x in range(1, n + 1):
-        c, v = rec.sigma[x - 1], rec.sigma_bar[x - 1]
-        if x == kept_x:
-            prov[(x, c)] = CellOrigin("kept", 1)
-            grid[x - 1][m - 1] = m
-            prov[(x, m)] = CellOrigin("border_fill", 1)
-            grid[m - 1][c - 1] = m
-            prov[(m, c)] = CellOrigin("border_fill", 1)
-            continue
-        grid[x - 1][c - 1] = m
-        prov[(x, c)] = CellOrigin("vacated", 1)
-        grid[x - 1][m - 1] = v
-        prov[(x, m)] = CellOrigin("projected_col", 1)
-        grid[m - 1][c - 1] = v
-        prov[(m, c)] = CellOrigin("projected_row", 1)
-    grid[m - 1][m - 1] = rec.special
-    prov[(m, m)] = CellOrigin("diagonal_seed", 1)
-    return _finish(grid, prov)
+    return _prolong_one(square, (rec.sigma, rec.sigma_bar, _kept_row(rec, kept_x)),
+                        rec.special, "diagonal_seed")
 
 
 def prolong_dd_gen(square, pairs, fill=None, col_assign=None, row_assign=None,
@@ -409,42 +365,19 @@ def prolong_dd_gen(square, pairs, fill=None, col_assign=None, row_assign=None,
     per completion (at most `limit`); empty list if none exists.
     """
     square = _as_square(square)
-    n = square.order
     recs = []
-    keeps = []
+    objs = []
     for m_, kx in pairs:
         rec = _as_quasicomplete(square, m_)
-        if kx is None:
-            kx = rec.duplicate_pair[1]
-        if kx not in rec.duplicate_pair:
-            raise DomainError(
-                f"kept row {kx} is not in the duplicate pair {rec.duplicate_pair}")
         recs.append(rec)
-        keeps.append(kx)
-    k = len(recs)
-    fill, ca, ra = _plan(n, k, fill, col_assign, row_assign)
-    _check_disjoint(
-        [[(x, rec.sigma[x - 1]) for x in range(1, n + 1)] for rec in recs],
-        "mappings")
-
-    grid, prov = _base(square, k)
-    for j, (rec, kx) in enumerate(zip(recs, keeps), start=1):
-        nc, nr = n + ca[j - 1], n + ra[j - 1]
-        for x in range(1, n + 1):
-            c, v = rec.sigma[x - 1], rec.sigma_bar[x - 1]
-            if x == kx:
-                prov[(x, c)] = CellOrigin("kept", j)
-                continue
-            grid[x - 1][c - 1] = fill[j - 1]
-            prov[(x, c)] = CellOrigin("vacated", j)
-            grid[x - 1][nc - 1] = v
-            prov[(x, nc)] = CellOrigin("projected_col", j)
-            grid[nr - 1][c - 1] = v
-            prov[(nr, c)] = CellOrigin("projected_row", j)
-        if seed_diagonal:
-            grid[nr - 1][nc - 1] = rec.special
-            prov[(nr, nc)] = CellOrigin("diagonal_seed", j)
-    return _complete_reports(grid, prov, n, k, limit)
+        objs.append((rec.sigma, rec.sigma_bar, _kept_row(rec, kx)))
+    grid, prov, crossings = _project(square, objs, fill, col_assign, row_assign,
+                                     border=False, what="mappings")
+    if seed_diagonal:
+        for j, (rec, (r, c)) in enumerate(zip(recs, crossings), start=1):
+            grid[r - 1][c - 1] = rec.special
+            prov[(r, c)] = CellOrigin("diagonal_seed", j)
+    return _complete_reports(grid, prov, limit)
 
 
 def two_step(square, t1, t2, first: str = "bruck", excepted=None,
@@ -460,6 +393,8 @@ def two_step(square, t1, t2, first: str = "bruck", excepted=None,
     kept_choice, default n+1).  The report's provenance labels first-
     step cells with step 1 and second-step cells with step 2, and its
     `intermediate` field carries sigma2's classification record.
+    excepted and kept_choice apply only to a belyavskaya first step;
+    passing either with first="bruck" raises DomainError.
     """
     square = _as_square(square)
     ta = _as_transversal(square, t1)
@@ -468,6 +403,9 @@ def two_step(square, t1, t2, first: str = "bruck", excepted=None,
     _check_disjoint([ta.cells(), tb.cells()], "transversals")
 
     if first == "bruck":
+        for name, value in (("excepted", excepted), ("kept_choice", kept_choice)):
+            if value is not None:
+                raise DomainError(f"{name} applies only to a belyavskaya first step")
         rep1 = prolong_bruck(square, ta)
     elif first == "belyavskaya":
         if excepted is None:

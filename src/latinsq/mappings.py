@@ -26,6 +26,7 @@ lazily.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Sequence
 
 from .core import DomainError, LatinSquare, _check_perm
@@ -106,13 +107,9 @@ def conjugated_mapping(square: LatinSquare,
     return MappingRecord(n, sigma, bar, "neither")
 
 
-def transversal_to_mapping(transversal: Transversal) -> tuple[int, ...]:
-    """The permutation sigma carried by a transversal: sigma(x) = its column.
-
-    Classifying this sigma against the square the transversal came from
-    always yields a complete mapping (sigma_bar = the transversal values).
-    """
-    return transversal.cols
+def _check_limit(limit: int | None) -> None:
+    if limit is not None and limit < 1:
+        raise DomainError(f"limit must be positive, got {limit}")
 
 
 def iter_transversals(square: LatinSquare) -> Iterator[Transversal]:
@@ -146,14 +143,8 @@ def iter_transversals(square: LatinSquare) -> Iterator[Transversal]:
 def find_transversals(square: LatinSquare,
                       limit: int | None = None) -> list[Transversal]:
     """All transversals (or the first `limit` of them, lexicographically)."""
-    if limit is not None and limit < 1:
-        raise DomainError(f"limit must be positive, got {limit}")
-    out: list[Transversal] = []
-    for t in iter_transversals(square):
-        out.append(t)
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    _check_limit(limit)
+    return list(islice(iter_transversals(square), limit))
 
 
 def find_disjoint_transversals(square: LatinSquare, k: int,
@@ -170,8 +161,7 @@ def find_disjoint_transversals(square: LatinSquare, k: int,
     n = square.order
     if not 1 <= k <= n:
         raise DomainError(f"family size must be in 1..{n}, got {k}")
-    if limit is not None and limit < 1:
-        raise DomainError(f"limit must be positive, got {limit}")
+    _check_limit(limit)
     all_t = find_transversals(square)
     masks = []
     for t in all_t:
@@ -237,11 +227,5 @@ def iter_quasicomplete_mappings(square: LatinSquare) -> Iterator[MappingRecord]:
 def find_quasicomplete_mappings(square: LatinSquare,
                                 limit: int | None = None) -> list[MappingRecord]:
     """All quasicomplete mappings (or the first `limit`, lexicographically)."""
-    if limit is not None and limit < 1:
-        raise DomainError(f"limit must be positive, got {limit}")
-    out: list[MappingRecord] = []
-    for rec in iter_quasicomplete_mappings(square):
-        out.append(rec)
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    _check_limit(limit)
+    return list(islice(iter_quasicomplete_mappings(square), limit))

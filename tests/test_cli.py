@@ -279,6 +279,30 @@ class TestProlong:
         assert code == 2
         assert "gen-dd" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--method", "bruck", "--transversal", "3 1 2", "--limit", "7"),
+        ("--method", "bruck", "--transversal", "3 1 2", "--first", "belyavskaya"),
+        ("--method", "disjoint", "--transversal", "3 1 2", "--limit", "0"),
+        ("--method", "gen-belyavskaya", "--transversal", "1 2 3", "--except", "1",
+         "--no-diag-seed"),
+    ])
+    def test_ignored_flags_rejected(self, capsys, tmp_path, argv):
+        path = write(tmp_path, CYC3_TEXT)
+        code, out, err = run_cli(capsys, "prolong", path, *argv)
+        assert (code, out) == (2, "")
+        assert "does not apply to --method" in err
+
+    @pytest.mark.parametrize("flags", [("--keep", "2"),
+                                       ("--first", "bruck", "--keep", "2"),
+                                       ("--first", "bruck", "--except", "2")])
+    def test_two_step_bruck_first_rejects_except_and_keep(self, capsys, tmp_path,
+                                                          flags):
+        path = write(tmp_path, CYC3_TEXT)
+        code, out, err = run_cli(capsys, "prolong", path, "--method", "two-step",
+                                 "--t1", "3 1 2", "--t2", "1 2 3", *flags)
+        assert (code, out) == (2, "")
+        assert "--first belyavskaya" in err
+
     def test_two_step_belyavskaya_first(self, capsys, tmp_path):
         path = write(tmp_path, CYC3_TEXT)
         out = run_cli(capsys, "prolong", path, "--method", "two-step",

@@ -125,6 +125,15 @@ class TestDisjoint:
         with pytest.raises(DomainError):
             prolong_disjoint(CYC3, pair, col_assign=(2, 2))
 
+    def test_empty_assignments_are_not_the_default(self):
+        pair = [grids.T_YELLOW, grids.T_GREEN]
+        with pytest.raises(DomainError, match="col_assign"):
+            prolong_disjoint(CYC3, pair, col_assign=())
+        with pytest.raises(DomainError, match="row_assign"):
+            prolong_disjoint(CYC3, pair, row_assign=())
+        with pytest.raises(DomainError, match="row_assign"):
+            prolong_dd_gen(QC4, [((1, 3, 2, 4), 4)], row_assign=())
+
 
 class TestBelyavskaya:
     def test_reference_grid(self):
@@ -311,6 +320,13 @@ class TestTwoStep:
             two_step(CYC3, grids.T_BLUE, grids.T_YELLOW, first="belyavskaya")
         with pytest.raises(DomainError, match="first step"):
             two_step(CYC3, grids.T_BLUE, grids.T_YELLOW, first="dd")
+
+    def test_bruck_first_rejects_belyavskaya_arguments(self):
+        with pytest.raises(DomainError, match="excepted applies only"):
+            two_step(CYC3, grids.T_BLUE, grids.T_YELLOW, excepted=(2, 1))
+        with pytest.raises(DomainError, match="kept_choice applies only"):
+            two_step(CYC3, grids.T_BLUE, grids.T_YELLOW, first="bruck",
+                     kept_choice=4)
 
 
 class TestContractBruck:

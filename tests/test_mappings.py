@@ -12,7 +12,6 @@ from latinsq import (
     find_quasicomplete_mappings,
     find_transversals,
     transversal_of,
-    transversal_to_mapping,
 )
 
 CYC3 = cyclic_square(3)
@@ -37,8 +36,8 @@ class TestTransversalOf:
 
     def test_to_mapping_returns_columns(self):
         t = transversal_of(CYC3, grids.T_BLUE)
-        assert transversal_to_mapping(t) == (3, 1, 2)
-        assert conjugated_mapping(CYC3, transversal_to_mapping(t)).kind == "complete"
+        assert t.cols == (3, 1, 2)
+        assert conjugated_mapping(CYC3, t.cols).kind == "complete"
 
 
 class TestConjugatedMapping:
@@ -168,3 +167,16 @@ class TestQuasicompleteMappings:
         full = find_quasicomplete_mappings(QC4)
         assert len(full) == 16
         assert find_quasicomplete_mappings(QC4, limit=5) == full[:5]
+
+    def test_limit_must_be_positive(self):
+        with pytest.raises(DomainError, match="limit must be positive"):
+            find_quasicomplete_mappings(QC4, limit=0)
+
+
+def test_limit_check_is_shared():
+    for find in (lambda limit: find_transversals(CYC3, limit=limit),
+                 lambda limit: find_disjoint_transversals(CYC3, 2, limit=limit),
+                 lambda limit: find_quasicomplete_mappings(QC4, limit=limit)):
+        with pytest.raises(DomainError, match="limit must be positive, got -1"):
+            find(-1)
+        assert len(find(1)) == 1
