@@ -120,6 +120,16 @@ class TestDisjointFamilies:
             seen.add(key)
             assert [t.cols for t in fam] == sorted(t.cols for t in fam)
 
+    def test_limit_is_a_prefix(self, pool):
+        squares = [sq for n in sorted(pool) for sq in pool[n]]
+        squares.append(cyclic_square(8))  # no transversals at all
+        for sq in squares:
+            for k in (1, 2, 3):
+                full = find_disjoint_transversals(sq, k)
+                for limit in (1, 2, 5):
+                    assert find_disjoint_transversals(sq, k, limit=limit) \
+                        == full[:limit], (sq.order, k, limit)
+
     def test_k_out_of_range(self):
         with pytest.raises(DomainError):
             find_disjoint_transversals(CYC3, 0)
