@@ -181,6 +181,8 @@ def _perms(values, flag: str) -> list[tuple[int, ...]]:
 
 
 def _limit(value: int | None):
+    if value is not None and value < 0:
+        raise DomainError(f"--limit must be 0 (no limit) or positive, got {value}")
     return value or None  # 0 and an absent flag both mean no limit
 
 
@@ -223,10 +225,10 @@ def _list_results(args, find, to_line) -> int:
 
     find(limit) returns the first `limit` results (None = all of them).
     """
+    limit = _limit(args.limit)
     if args.mode == "count":
         print(len(find(None)))
         return 0
-    limit = _limit(args.limit)
     items = find(None if limit is None else limit + 1)
     truncated = limit is not None and len(items) > limit
     for item in items[:limit]:

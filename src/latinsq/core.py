@@ -105,9 +105,12 @@ def validate(grid) -> ValidationReport:
         for v in row:
             if v is None:
                 empties += 1
-            elif not isinstance(v, int) or not 1 <= v <= n:
+                continue
+            # bool is a subclass of int, but True and False are not symbols.
+            symbol = v if isinstance(v, int) and not isinstance(v, bool) else None
+            if symbol is None or not 1 <= symbol <= n:
                 issues.append(ValidationIssue(
-                    "symbol", r, v if isinstance(v, int) else None,
+                    "symbol", r, symbol,
                     f"row {r}: symbol {v!r} out of range for order {n}"))
     if empties:
         plural = "s" if empties != 1 else ""

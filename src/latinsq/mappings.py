@@ -20,7 +20,10 @@ constructions in `latinsq.constructions`.
 Enumeration is exhaustive backtracking over rows with column/symbol
 bitmasks, emitting results in lexicographic sigma order.  Counts grow
 quickly with n, so the finders accept a limit; `iter_*` variants yield
-lazily.
+lazily.  With a limit, the disjoint-family search stops at the first
+families, searching each member with the cells of the earlier members
+masked out; without one it enumerates every transversal and combines
+them.
 """
 
 from __future__ import annotations
@@ -112,32 +115,54 @@ def _check_limit(limit: int | None) -> None:
         raise DomainError(f"limit must be positive, got {limit}")
 
 
+def _transversal_cols(rows, allowed: list[int]) -> Iterator[list[int]]:
+    """Yield the 0-based column picks of every transversal whose cell in
+    row x lies in the column bitmask allowed[x], in lexicographic order.
+
+    The one list yielded is updated in place; copy it to keep it.  The
+    search runs on an explicit stack, one level per row.
+    """
+    n = len(rows)
+    vbits = [[1 << (v - 1) for v in row] for row in rows]
+    picked = [0] * n
+    avail = [0] * n
+    cols_used = [0] * n
+    vals_used = [0] * n
+    avail[0] = allowed[0]
+    last = n - 1
+    x = 0
+    while x >= 0:
+        a = avail[x]
+        if not a:
+            x -= 1
+            continue
+        bit = a & -a
+        avail[x] = a ^ bit
+        c = bit.bit_length() - 1
+        vbit = vbits[x][c]
+        if vals_used[x] & vbit:
+            continue
+        picked[x] = c
+        if x == last:
+            yield picked
+            continue
+        x += 1
+        cols_used[x] = used = cols_used[x - 1] | bit
+        vals_used[x] = vals_used[x - 1] | vbit
+        avail[x] = allowed[x] & ~used
+
+
+def _transversal(rows, picked: list[int]) -> Transversal:
+    return Transversal(len(rows), tuple(c + 1 for c in picked),
+                       tuple(rows[x][c] for x, c in enumerate(picked)))
+
+
 def iter_transversals(square: LatinSquare) -> Iterator[Transversal]:
     """Yield every transversal, in lexicographic column order."""
     n = square.order
     rows = square.rows
-    full = (1 << n) - 1
-
-    def extend(x: int, cols_used: int, vals_used: int,
-               picked: list[int]) -> Iterator[Transversal]:
-        if x == n:
-            cols = tuple(picked)
-            yield Transversal(n, cols,
-                              tuple(rows[i][cols[i] - 1] for i in range(n)))
-            return
-        avail = full & ~cols_used
-        while avail:
-            bit = avail & -avail
-            avail -= bit
-            c = bit.bit_length() - 1
-            vbit = 1 << (rows[x][c] - 1)
-            if vals_used & vbit:
-                continue
-            picked.append(c + 1)
-            yield from extend(x + 1, cols_used | bit, vals_used | vbit, picked)
-            picked.pop()
-
-    yield from extend(0, 0, 0, [])
+    for picked in _transversal_cols(rows, [(1 << n) - 1] * n):
+        yield _transversal(rows, picked)
 
 
 def find_transversals(square: LatinSquare,
@@ -156,12 +181,20 @@ def find_disjoint_transversals(square: LatinSquare, k: int,
     column picks differ in every row.  Families are unordered; each is
     reported once, members sorted lexicographically, and the family list
     itself is in lexicographic order.  k = 1 yields one singleton family
-    per transversal.
+    per transversal; k = n asks for a partition of all n^2 cells into
+    transversals, i.e. an orthogonal mate of the square.
+
+    With a limit the search stops at the first `limit` families: it
+    looks for each member directly, with the cells of the earlier
+    members masked out.  Without one it enumerates every transversal and
+    combines them, which is faster when every family is wanted.
     """
     n = square.order
     if not 1 <= k <= n:
         raise DomainError(f"family size must be in 1..{n}, got {k}")
     _check_limit(limit)
+    if limit is not None:
+        return _first_families(square, k, limit)
     all_t = find_transversals(square)
     masks = []
     for t in all_t:
@@ -172,20 +205,65 @@ def find_disjoint_transversals(square: LatinSquare, k: int,
 
     out: list[tuple[Transversal, ...]] = []
 
-    def extend(start: int, used: int, picked: list[int]) -> bool:
+    def extend(start: int, used: int, picked: list[int]) -> None:
         if len(picked) == k:
             out.append(tuple(all_t[i] for i in picked))
-            return limit is not None and len(out) >= limit
+            return
         for i in range(start, len(all_t)):
             if masks[i] & used:
                 continue
             picked.append(i)
-            if extend(i + 1, used | masks[i], picked):
-                return True
+            extend(i + 1, used | masks[i], picked)
             picked.pop()
-        return False
 
     extend(0, 0, [])
+    return out
+
+
+def _first_families(square: LatinSquare, k: int,
+                    limit: int) -> list[tuple[Transversal, ...]]:
+    """The first `limit` families, searching member j + 1 with the cells
+    of members 1..j banned.
+
+    Disjoint transversals differ in row 1, so lexicographic member order
+    is ascending row-1 column: member j + 1 takes a row-1 column above
+    member j's, and low enough to leave one for each member after it.
+    Each member's search runs in lexicographic order, so the families
+    come out in the order of the full enumeration.
+    """
+    n = square.order
+    rows = square.rows
+    full = (1 << n) - 1
+    banned = [0] * n  # per row, the columns the family so far occupies
+    family: list[Transversal] = []
+    out: list[tuple[Transversal, ...]] = []
+
+    def next_member(lowest: int) -> Iterator[list[int]]:
+        """Search the next member, its row-1 column (0-based) at least
+        `lowest` and at most n - k + j for member j + 1."""
+        allowed = [full & ~b for b in banned]
+        allowed[0] &= ((2 << (n - k + len(family))) - 1) & ~((1 << lowest) - 1)
+        return _transversal_cols(rows, allowed)
+
+    searches = [next_member(0)]
+    while searches:
+        picked = next(searches[-1], None)
+        if picked is None:
+            searches.pop()
+            if family:
+                for x, c in enumerate(family.pop().cols):
+                    banned[x] ^= 1 << (c - 1)
+            continue
+        t = _transversal(rows, picked)
+        if len(family) + 1 == k:
+            out.append((*family, t))
+            if len(out) == limit:
+                break
+            continue
+        family.append(t)
+        for x, c in enumerate(picked):
+            banned[x] |= 1 << c
+        searches.append(next_member(picked[0] + 1))
     return out
 
 

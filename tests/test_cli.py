@@ -403,3 +403,19 @@ class TestParser:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "prolong" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("transversals", "--list", "--limit", "-1"),
+    ("transversals", "--count", "--limit", "-1"),
+    ("transversals", "--disjoint", "2", "--list", "--limit", "-1"),
+    ("qcmappings", "--list", "--limit", "-3"),
+    ("complete", "--limit", "-1"),
+    ("prolong", "--method", "gen-belyavskaya", "--transversal", "1 2 3",
+     "--except", "1", "--limit", "-2"),
+])
+def test_negative_limit_rejected(capsys, tmp_path, argv):
+    path = write(tmp_path, CYC3_TEXT)
+    code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: --limit must be 0 (no limit) or positive, got {argv[-1]}\n"

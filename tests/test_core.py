@@ -40,6 +40,14 @@ class TestValidate:
         report = validate([[1, 2, 4], [2, 3, 1], [3, 1, 2]])
         assert any(i.kind == "symbol" and i.index == 1 for i in report.issues)
 
+    def test_bool_cells_are_not_symbols(self):
+        report = validate([[True]])
+        assert [(i.kind, i.index, i.symbol) for i in report.issues] == \
+            [("symbol", 1, None)]
+        report = validate([[1, 2], [2, True]])
+        assert [(i.kind, i.index, i.symbol) for i in report.issues] == \
+            [("symbol", 2, None)]
+
     def test_ragged_and_empty_grids(self):
         assert any(i.kind == "shape" for i in validate([[1, 2], [1]]).issues)
         assert any(i.kind == "shape" for i in validate([]).issues)
@@ -65,6 +73,8 @@ class TestIsLatin:
             is_latin([[1, 2], [1]])
         with pytest.raises(GridError):
             is_latin([[1, None], [None, 2]])
+        with pytest.raises(GridError):
+            is_latin([[True]])
 
 
 class TestSquareTypes:
@@ -77,6 +87,8 @@ class TestSquareTypes:
     def test_rejects_non_latin(self):
         with pytest.raises(GridError):
             LatinSquare(((1, 2), (1, 2)))
+        with pytest.raises(GridError):
+            LatinSquare(((True,),))
 
     def test_is_hashable_and_comparable(self):
         assert LatinSquare(grids.CYCLIC3) == cyclic_square(3)

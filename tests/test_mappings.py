@@ -1,5 +1,7 @@
 """Transversals, disjoint families, and (quasi)complete mappings."""
 
+import time
+
 import pytest
 
 import grids
@@ -80,8 +82,10 @@ class TestFindTransversals:
         assert find_transversals(QC4) == []
 
     def test_counts_match_frozen(self):
-        for n, want in enumerate(grids.CYCLIC_TRANSVERSAL_COUNTS, start=1):
-            assert len(find_transversals(cyclic_square(n))) == want
+        counts = dict(enumerate(grids.CYCLIC_TRANSVERSAL_COUNTS, start=1))
+        counts.update(grids.CYCLIC_TRANSVERSAL_ANCHORS)
+        for n, want in counts.items():
+            assert len(find_transversals(cyclic_square(n))) == want, n
 
     def test_every_result_is_complete(self):
         sq = cyclic_square(5)
@@ -129,6 +133,25 @@ class TestDisjointFamilies:
                 for limit in (1, 2, 5):
                     assert find_disjoint_transversals(sq, k, limit=limit) \
                         == full[:limit], (sq.order, k, limit)
+
+    def test_first_family_is_found_without_full_enumeration(self):
+        sq = cyclic_square(11)  # 37,851 transversals
+        for k in (2, 3):
+            start = time.perf_counter()
+            fams = find_disjoint_transversals(sq, k, limit=1)
+            elapsed = time.perf_counter() - start
+            assert len(fams) == 1 and len(fams[0]) == k
+            cells = [cell for t in fams[0] for cell in t.cells()]
+            assert len(set(cells)) == len(cells)
+            assert elapsed < 0.25, f"k={k}: {elapsed:.3f} s"
+
+    def test_k_equal_to_order_is_an_orthogonal_mate(self):
+        for n in (5, 7, 9):
+            fams = find_disjoint_transversals(cyclic_square(n), n, limit=1)
+            assert len(fams) == 1
+            cells = {cell for t in fams[0] for cell in t.cells()}
+            assert len(cells) == n * n
+        assert find_disjoint_transversals(cyclic_square(4), 4, limit=1) == []
 
     def test_k_out_of_range(self):
         with pytest.raises(DomainError):
