@@ -120,7 +120,8 @@ def _transversal_cols(rows, allowed: list[int]) -> Iterator[list[int]]:
     row x lies in the column bitmask allowed[x], in lexicographic order.
 
     The one list yielded is updated in place; copy it to keep it.  The
-    search runs on an explicit stack, one level per row.
+    search runs on an explicit stack, one level per row, so no order can
+    overflow the recursion limit.
     """
     n = len(rows)
     vbits = [[1 << (v - 1) for v in row] for row in rows]

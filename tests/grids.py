@@ -132,7 +132,7 @@ CYCLIC_TRANSVERSAL_COUNTS = (1, 0, 3, 0, 15, 0, 133)
 
 # Larger cyclic counts from McKay, McLeod & Wanless, "The number of
 # transversals in a Latin square", Des. Codes Cryptogr. 40 (2006).  Order
-# 13 (1,030,367) takes minutes to enumerate and is left out.
+# 13 (1,030,367) is left out: counting it takes about 30 s.
 CYCLIC_TRANSVERSAL_ANCHORS = {9: 2025, 11: 37851}
 
 # Completion counts of the empty grid, orders 1..4 (number of Latin
