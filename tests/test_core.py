@@ -1,5 +1,7 @@
 """Grid types, validation, completion search, generation, and LSQ I/O."""
 
+import random
+
 import pytest
 
 import grids
@@ -18,6 +20,20 @@ from latinsq import (
     random_square,
     validate,
 )
+
+
+def naive_duplicates(rows):
+    """Row then column duplicates of a full grid, by counting each entry."""
+    issues = []
+    for r, row in enumerate(rows, start=1):
+        for v in sorted(set(x for x in row if row.count(x) > 1)):
+            issues.append(("row", r, v, f"row {r} duplicates symbol {v}"))
+    for c in range(len(rows)):
+        col = [row[c] for row in rows]
+        for v in sorted(set(x for x in col if col.count(x) > 1)):
+            issues.append(("column", c + 1, v,
+                           f"column {c + 1} duplicates symbol {v}"))
+    return issues
 
 
 class TestValidate:
@@ -51,6 +67,22 @@ class TestValidate:
     def test_ragged_and_empty_grids(self):
         assert any(i.kind == "shape" for i in validate([[1, 2], [1]]).issues)
         assert any(i.kind == "shape" for i in validate([]).issues)
+
+    def test_duplicates_match_naive_reference(self):
+        rng = random.Random(20150601)
+        for n in range(1, 10):
+            for trial in range(60):
+                if trial % 2:
+                    rows = [[rng.randint(1, n) for _ in range(n)]
+                            for _ in range(n)]
+                else:
+                    rows = [list(row) for row in cyclic_square(n).rows]
+                    for _ in range(rng.randint(1, 3)):
+                        rows[rng.randrange(n)][rng.randrange(n)] = \
+                            rng.randint(1, n)
+                got = [(i.kind, i.index, i.symbol, i.message)
+                       for i in validate(rows).issues]
+                assert got == naive_duplicates(rows), rows
 
     def test_empty_cells_counted(self):
         report = validate([[1, None], [None, 2]])
