@@ -26,6 +26,7 @@ any '.' parses as a partial square.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -116,19 +117,33 @@ def validate(grid) -> ValidationReport:
         plural = "s" if empties != 1 else ""
         issues.append(ValidationIssue(
             "empty", 0, None, f"{empties} empty cell{plural}"))
-    if issues:
-        return ValidationReport(tuple(issues))
+    # Duplicates are looked for only in a grid with nothing else wrong.
+    return ValidationReport(tuple(issues or _duplicates(rows)))
 
-    for r, row in enumerate(rows, start=1):
-        for v in sorted(set(x for x in row if row.count(x) > 1)):
-            issues.append(ValidationIssue(
-                "row", r, v, f"row {r} duplicates symbol {v}"))
-    for c in range(n):
-        col = [row[c] for row in rows]
-        for v in sorted(set(x for x in col if col.count(x) > 1)):
-            issues.append(ValidationIssue(
-                "column", c + 1, v, f"column {c + 1} duplicates symbol {v}"))
-    return ValidationReport(tuple(issues))
+
+def _duplicates(rows) -> list[ValidationIssue]:
+    """Every symbol repeated within a row, then within a column.
+
+    One pass per line with a bitmask of the symbols seen; empty (None)
+    cells are skipped, filled cells must hold symbols 1..n.  Issues come
+    rows first, then columns, symbols ascending within each line.
+    """
+    issues: list[ValidationIssue] = []
+    for kind, lines in (("row", rows), ("column", zip(*rows))):
+        for i, line in enumerate(lines, start=1):
+            seen = dup = 0
+            for v in line:
+                if v is not None:
+                    bit = 1 << v
+                    dup |= seen & bit
+                    seen |= bit
+            while dup:
+                bit = dup & -dup
+                dup ^= bit
+                v = bit.bit_length() - 1
+                issues.append(ValidationIssue(
+                    kind, i, v, f"{kind} {i} duplicates symbol {v}"))
+    return issues
 
 
 def is_latin(grid) -> bool:
@@ -191,20 +206,9 @@ class PartialLatinSquare:
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
         report = validate(self.rows)
-        bad = [i for i in report.issues if i.kind != "empty"]
-        # validate() stops at empty cells, so re-check filled duplicates here.
-        if not bad:
-            n = len(self.rows)
-            for r, row in enumerate(self.rows, start=1):
-                filled = [v for v in row if v is not None]
-                if len(filled) != len(set(filled)):
-                    bad.append(ValidationIssue(
-                        "row", r, None, f"row {r} repeats a symbol"))
-            for c in range(n):
-                filled = [row[c] for row in self.rows if row[c] is not None]
-                if len(filled) != len(set(filled)):
-                    bad.append(ValidationIssue(
-                        "column", c + 1, None, f"column {c + 1} repeats a symbol"))
+        # validate() stops at empty cells, so check filled duplicates here.
+        bad = ([i for i in report.issues if i.kind != "empty"]
+               or _duplicates(self.rows))
         if bad:
             raise GridError("not a valid partial square:\n"
                             + "\n".join(str(i) for i in bad))
@@ -232,12 +236,9 @@ def complete_partial(partial, limit: int | None = None) -> list[LatinSquare]:
     same deterministic order.  Returns at most `limit` squares when a
     limit is given; an empty list means no completion exists.
     """
-    if isinstance(partial, LatinSquare):
-        partial = PartialLatinSquare(partial.rows)
     if not isinstance(partial, PartialLatinSquare):
         partial = PartialLatinSquare(_raw_rows(partial))
-    if limit is not None and limit < 1:
-        raise DomainError(f"limit must be positive, got {limit}")
+    _check_limit(limit)
 
     n = partial.order
     full = (1 << n) - 1
@@ -362,6 +363,11 @@ def permuted(square: LatinSquare,
         for i in range(n)))
 
 
+def _check_limit(limit: int | None) -> None:
+    if limit is not None and limit < 1:
+        raise DomainError(f"limit must be positive, got {limit}")
+
+
 def _check_perm(perm, n: int, what: str) -> list[int]:
     perm = list(perm)
     if sorted(perm) != list(range(1, n + 1)):
@@ -383,6 +389,23 @@ def parse_lsq(text: str) -> LatinSquare | PartialLatinSquare:
     return LatinSquare(rows)
 
 
+# Integer tokens are ASCII digits after an optional "-"; int() also reads
+# "+2", "2_0" and "２", but on tokens of _CELL_CHARS it reads just those.
+_INTEGER = re.compile(r"-?[0-9]+")
+_CELL_CHARS = re.compile(r"[-.0-9]*")
+
+
+def _cells(lineno: int, tokens: list[str]) -> tuple[int | None, ...]:
+    """One grid row's tokens as integers, None for '.'."""
+    if _CELL_CHARS.fullmatch("".join(tokens)):
+        try:
+            return tuple([None if t == "." else int(t) for t in tokens])
+        except ValueError:
+            pass
+    bad = next(t for t in tokens if t != "." and not _INTEGER.fullmatch(t))
+    raise GridError(f"line {lineno}: bad token {bad!r}")
+
+
 def parse_lsq_grid(text: str) -> tuple[tuple[int | None, ...], ...]:
     """Syntax-only LSQ parse: raw rows with None for '.', nothing validated.
 
@@ -402,10 +425,9 @@ def parse_lsq_grid(text: str) -> tuple[tuple[int | None, ...], ...]:
     lineno, tokens = significant[0]
     if len(tokens) != 1:
         raise GridError(f"line {lineno}: expected a single order, got {len(tokens)} tokens")
-    try:
-        n = int(tokens[0])
-    except ValueError:
-        raise GridError(f"line {lineno}: order {tokens[0]!r} is not an integer") from None
+    if not _INTEGER.fullmatch(tokens[0]):
+        raise GridError(f"line {lineno}: bad token {tokens[0]!r}")
+    n = int(tokens[0])
     if n < 1:
         raise GridError(f"line {lineno}: order must be positive, got {n}")
     if len(significant) - 1 != n:
@@ -415,16 +437,7 @@ def parse_lsq_grid(text: str) -> tuple[tuple[int | None, ...], ...]:
     for lineno, tokens in significant[1:]:
         if len(tokens) != n:
             raise GridError(f"line {lineno}: expected {n} tokens, got {len(tokens)}")
-        row: list[int | None] = []
-        for tok in tokens:
-            if tok == ".":
-                row.append(None)
-            else:
-                try:
-                    row.append(int(tok))
-                except ValueError:
-                    raise GridError(f"line {lineno}: bad token {tok!r}") from None
-        rows.append(tuple(row))
+        rows.append(_cells(lineno, tokens))
     return tuple(rows)
 
 

@@ -17,13 +17,14 @@ pair) and exactly one symbol (the special one) never occurs.  Complete
 and quasicomplete mappings are the raw material of the prolongation
 constructions in `latinsq.constructions`.
 
-Enumeration is exhaustive backtracking over rows with column/symbol
-bitmasks, emitting results in lexicographic sigma order.  Counts grow
-quickly with n, so the finders accept a limit; `iter_*` variants yield
-lazily.  With a limit, the disjoint-family search stops at the first
-families, searching each member with the cells of the earlier members
-masked out; without one it enumerates every transversal and combines
-them.
+One row search finds transversals, disjoint families and quasicomplete
+mappings: backtracking with column/symbol bitmasks on an explicit stack,
+never recursive, in lexicographic sigma order; a quasicomplete search is
+a transversal search that may take one symbol twice.  Counts grow fast,
+so the finders accept a limit; `iter_*` variants yield lazily.  With a
+limit, the disjoint-family search stops at the first families, masking
+out the cells of earlier members; without one it combines every
+transversal.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .core import DomainError, LatinSquare, _check_perm
+from .core import DomainError, LatinSquare, _check_limit, _check_perm
 
 
 @dataclass(frozen=True)
@@ -110,26 +111,29 @@ def conjugated_mapping(square: LatinSquare,
     return MappingRecord(n, sigma, bar, "neither")
 
 
-def _check_limit(limit: int | None) -> None:
-    if limit is not None and limit < 1:
-        raise DomainError(f"limit must be positive, got {limit}")
-
-
-def _transversal_cols(rows, allowed: list[int]) -> Iterator[list[int]]:
+def _transversal_cols(rows, allowed: list[int],
+                      repeat: bool = False) -> Iterator[list[int]]:
     """Yield the 0-based column picks of every transversal whose cell in
     row x lies in the column bitmask allowed[x], in lexicographic order.
+
+    With repeat, yield instead the picks that take exactly one symbol
+    twice (the quasicomplete mappings).  The repeat is a spare bit above
+    the n symbol bits of vals_used; a transversal search starts with it
+    set, so no symbol is taken twice and every full pick is yielded.
 
     The one list yielded is updated in place; copy it to keep it.  The
     search runs on an explicit stack, one level per row, so no order can
     overflow the recursion limit.
     """
     n = len(rows)
+    spare = 1 << n
     vbits = [[1 << (v - 1) for v in row] for row in rows]
     picked = [0] * n
     avail = [0] * n
     cols_used = [0] * n
     vals_used = [0] * n
     avail[0] = allowed[0]
+    vals_used[0] = 0 if repeat else spare
     last = n - 1
     x = 0
     while x >= 0:
@@ -141,15 +145,19 @@ def _transversal_cols(rows, allowed: list[int]) -> Iterator[list[int]]:
         avail[x] = a ^ bit
         c = bit.bit_length() - 1
         vbit = vbits[x][c]
-        if vals_used[x] & vbit:
-            continue
+        vals = vals_used[x]
+        if vals & vbit:
+            if vals >= spare:
+                continue
+            vbit = spare
         picked[x] = c
         if x == last:
-            yield picked
+            if vals | vbit >= spare:
+                yield picked
             continue
         x += 1
         cols_used[x] = used = cols_used[x - 1] | bit
-        vals_used[x] = vals_used[x - 1] | vbit
+        vals_used[x] = vals | vbit
         avail[x] = allowed[x] & ~used
 
 
@@ -271,36 +279,14 @@ def _first_families(square: LatinSquare, k: int,
 def iter_quasicomplete_mappings(square: LatinSquare) -> Iterator[MappingRecord]:
     """Yield every quasicomplete mapping, in lexicographic sigma order.
 
-    Backtracks over sigma row by row, tracking how often each value of
-    sigma_bar has appeared; a branch dies as soon as any value appears
-    three times or two distinct values appear twice.
+    Runs the transversal search with one repeated symbol allowed: a
+    branch dies as soon as a value of sigma_bar would appear three times
+    or a second value twice; only sigmas that used the repeat are kept.
     """
     n = square.order
-    rows = square.rows
-    full = (1 << n) - 1
-    sigma = [0] * n
-    counts = [0] * (n + 1)
-
-    def extend(x: int, cols_used: int, doubled: int) -> Iterator[MappingRecord]:
-        if x == n:
-            if doubled:
-                yield conjugated_mapping(square, sigma)
-            return
-        avail = full & ~cols_used
-        while avail:
-            bit = avail & -avail
-            avail -= bit
-            c = bit.bit_length() - 1
-            v = rows[x][c]
-            if counts[v] == 2 or (counts[v] == 1 and doubled):
-                continue
-            sigma[x] = c + 1
-            counts[v] += 1
-            yield from extend(x + 1, cols_used | bit,
-                              doubled or counts[v] == 2)
-            counts[v] -= 1
-
-    yield from extend(0, 0, False)
+    for picked in _transversal_cols(square.rows, [(1 << n) - 1] * n,
+                                    repeat=True):
+        yield conjugated_mapping(square, [c + 1 for c in picked])
 
 
 def find_quasicomplete_mappings(square: LatinSquare,

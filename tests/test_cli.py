@@ -51,6 +51,13 @@ class TestVerify:
         assert code == 2
         assert err.startswith("error: line")
 
+    def test_only_ascii_integer_tokens(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "verify", write(tmp_path, "2\n0 -1\n2 1\n"))
+        assert code == 1
+        assert "symbol 0 out of range" in out and "symbol -1 out of range" in out
+        code, _, err = run_cli(capsys, "verify", write(tmp_path, "2\n+1 2\n2 1\n"))
+        assert (code, err) == (2, "error: line 2: bad token '+1'\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "verify", "/nonexistent.lsq")
         assert code == 2

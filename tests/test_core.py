@@ -1,6 +1,7 @@
 """Grid types, validation, completion search, generation, and LSQ I/O."""
 
 import random
+import re
 
 import pytest
 
@@ -129,8 +130,10 @@ class TestSquareTypes:
     def test_partial_accepts_empties_rejects_duplicates(self):
         p = PartialLatinSquare(((1, None), (None, 1)))
         assert p.empty_cells() == [(1, 2), (2, 1)]
-        with pytest.raises(GridError):
+        with pytest.raises(GridError, match="row 1 duplicates symbol 1"):
             PartialLatinSquare(((1, 1), (None, None)))
+        with pytest.raises(GridError, match="column 2 duplicates symbol 2"):
+            PartialLatinSquare(((None, 2, 1), (None, 2, None), (1, 3, None)))
         with pytest.raises(GridError):
             PartialLatinSquare(((5, None), (None, None)))
 
@@ -248,6 +251,14 @@ class TestLsqFormat:
             parse_lsq("2\n1 2\n2 1 1\n")
         with pytest.raises(GridError, match="line 3"):
             parse_lsq("2\n1 2\nq 1\n")
+        for bad in ("+2", "２", "2_0", "2.0", "-", "--1"):
+            token = re.escape(repr(bad))
+            with pytest.raises(GridError, match=f"line 1: bad token {token}"):
+                parse_lsq(f"{bad}\n1 2\n2 1\n")
+            with pytest.raises(GridError, match=f"line 3: bad token {token}"):
+                parse_lsq(f"2\n1 2\n1 {bad}\n")
+        with pytest.raises(GridError, match="line 1: order must be positive"):
+            parse_lsq("-1\n")
 
     def test_semantic_errors_on_load(self):
         with pytest.raises(GridError):
@@ -257,3 +268,4 @@ class TestLsqFormat:
         rows = parse_lsq_grid("2\n1 2\n1 2\n")
         assert rows == ((1, 2), (1, 2))
         assert parse_lsq_grid("2\n. 9\n1 .\n") == ((None, 9), (1, None))
+        assert parse_lsq_grid("2\n0 -1\n-0 1\n") == ((0, -1), (0, 1))
