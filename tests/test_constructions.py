@@ -1,5 +1,7 @@
 """Prolongation and contraction operations against frozen references."""
 
+import random
+
 import pytest
 
 import grids
@@ -15,6 +17,8 @@ from latinsq import (
     contract_except,
     cyclic_square,
     feasible_contractions,
+    find_quasicomplete_mappings,
+    find_transversals,
     is_latin,
     permuted,
     prolong_belyavskaya,
@@ -23,12 +27,47 @@ from latinsq import (
     prolong_dd,
     prolong_dd_gen,
     prolong_disjoint,
+    random_square,
     transversal_of,
     two_step,
 )
 
 CYC3 = cyclic_square(3)
 QC4 = LatinSquare(grids.QC_BASE4)
+
+
+def naive_contractions(rows, method):
+    """Every (deleted, rows, sigma, sigma_bar, kind, special, pair) that
+    contracting by one symbol yields, repairing the grid cell by cell."""
+    m = len(rows)
+    n = m - 1
+    found = []
+    for d in range(1, m + 1):
+        if (rows[n][n] == d) != (method == "bruck"):
+            continue
+        # A cell holding d takes its row's last value; the row whose last
+        # value is d keeps its cells and recovers the column where the
+        # last row holds d.
+        small = [[row[n] if v == d and row[n] != d else v for v in row[:n]]
+                 for row in rows[:n]]
+        sigma = tuple(row[:n].index(d) + 1 if d in row[:n]
+                      else rows[n].index(d) + 1 for row in rows[:n])
+        small = tuple(tuple(v - 1 if v > d else v for v in row)
+                      for row in small)
+        lines = list(small) + list(zip(*small))
+        if any(sorted(line) != list(range(1, m)) for line in lines):
+            continue
+        bar = tuple(small[x][sigma[x] - 1] for x in range(n))
+        missing = [s for s in range(1, m) if s not in bar]
+        twice = tuple(x + 1 for x in range(n) if bar.count(bar[x]) == 2)
+        if not missing:
+            found.append((d, small, sigma, bar, "complete", None, None))
+        elif len(missing) == 1:
+            found.append((d, small, sigma, bar, "quasicomplete",
+                           missing[0], twice))
+        else:
+            found.append((d, small, sigma, bar, "neither", None, None))
+    return found
 
 
 def origin(rep, r, c):
@@ -422,6 +461,46 @@ class TestFeasibleContractions:
     def test_bad_method(self):
         with pytest.raises(DomainError):
             feasible_contractions(grids.BRUCK_OUT4, "dd")
+
+    def test_match_naive_reference(self):
+        squares = [LatinSquare(g) for g in (
+            grids.CYCLIC3, grids.BRUCK_OUT4, grids.DISJ_OUT5, grids.DISJ_OUT6,
+            grids.BEL_OUT4, grids.GENBEL_OUT5, grids.GENBEL_OUT6,
+            grids.QC_BASE4, grids.DD_OUT5, grids.GENDD_OUT6,
+            grids.TWOSTEP_OUT5)]
+        squares += [cyclic_square(n) for n in range(2, 7)]
+        # Seeded prolongations with their symbols shuffled, so the new
+        # symbol is rarely m and the contraction must relabel.
+        rng = random.Random(20150720)
+        for n in range(2, 8):
+            for seed in range(3):
+                sq = random_square(n, 500 * n + seed)
+                bigs = []
+                for t in find_transversals(sq, limit=3):
+                    bigs.append(prolong_bruck(sq, t).output)
+                    x0 = rng.randrange(n) + 1
+                    bigs.append(prolong_belyavskaya(
+                        sq, t, (x0, t.cols[x0 - 1])).output)
+                for rec in find_quasicomplete_mappings(sq, limit=3):
+                    bigs.append(prolong_dd(sq, rec,
+                                           rng.choice(rec.duplicate_pair)).output)
+                for big in bigs:
+                    perm = list(range(1, n + 2))
+                    rng.shuffle(perm)
+                    squares.append(LatinSquare(tuple(
+                        tuple(perm[v - 1] for v in row) for row in big.rows)))
+        relabelled = 0
+        for sq in squares:
+            got = [(d, small.rows, t.cols, t.values, "complete", None, None)
+                   for d, small, t in feasible_contractions(sq, "bruck")]
+            got += [(d, small.rows, rec.sigma, rec.sigma_bar, rec.kind,
+                     rec.special, rec.duplicate_pair)
+                    for d, small, rec in feasible_contractions(sq, "except")]
+            want = (naive_contractions(sq.rows, "bruck")
+                    + naive_contractions(sq.rows, "except"))
+            assert got == want, sq.rows
+            relabelled += sum(d != sq.order for d, *_ in got)
+        assert relabelled > 50
 
 
 class TestReportPlumbing:
