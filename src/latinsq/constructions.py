@@ -15,13 +15,15 @@ Operations, by parameter object:
 * inverses:               contract_bruck, contract_except,
                           feasible_contractions
 
-All six prolongations run one projection kernel.  It vacates every
-cell of each parameter object except an optional kept one, moves the
-values into the new rows and columns, and records the provenance; the
-operations differ only in the cell they keep and in how they fill the
-rest of the new block: the corner (prolong_bruck, prolong_belyavskaya,
-prolong_dd), a literal bottom block (prolong_disjoint), or the
-completion search (the generalized ones).
+All six prolongations run one projection kernel, `_project`.  It
+vacates every cell of each parameter object except an optional kept
+one, moves the values into the new rows and columns, and records the
+provenance; the operations differ only in the cell they keep and in
+how they fill the rest of the new block: the corner (prolong_bruck,
+prolong_belyavskaya, prolong_dd), a literal bottom block
+(prolong_disjoint), or the completion search (the generalized ones).
+Both contractions run its inverse, `_contract`, and differ only in
+whether the corner must hold the deleted symbol.
 
 The single-parameter operations are fully deterministic.  The
 generalized ones (prolong_belyavskaya_gen, prolong_dd_gen) place every
@@ -418,7 +420,7 @@ def two_step(square, t1, t2, first: str = "bruck", excepted=None,
     sigma2 = tb.cols + (n + 1,)
     rec2 = conjugated_mapping(qp, sigma2)
     if rec2.kind == "complete":
-        rep2 = prolong_bruck(qp, transversal_of(qp, sigma2))
+        rep2 = prolong_bruck(qp, sigma2)
     elif rec2.kind == "quasicomplete":
         kept = kept_choice if kept_choice is not None else n + 1
         rep2 = prolong_dd(qp, rec2, kept)
@@ -436,6 +438,44 @@ def two_step(square, t1, t2, first: str = "bruck", excepted=None,
     return ConstructionReport(rep2.output, prov, intermediate=rec2)
 
 
+def _contract(square, deleted: int, corner: bool) -> tuple[LatinSquare, list[int]]:
+    """The inverse of _project for one parameter object.
+
+    The corner (m, m) must hold `deleted` exactly when `corner`.  Removes
+    `deleted` and the last row and column: the kept row r0, whose last
+    cell holds `deleted`, stays; every other row's `deleted` cell takes
+    the row's last value; symbols above `deleted` shift down by one.
+    Returns the square and each row's recovered 1-based column (for r0,
+    where the last row holds `deleted`).
+    """
+    square = _as_square(square)
+    m = square.order
+    if m < 2:
+        raise DomainError("cannot contract an order-1 square")
+    if not 1 <= deleted <= m:
+        raise DomainError(f"deleted symbol must be in 1..{m}, got {deleted}")
+    n = m - 1
+    held = square.cell(m, m)
+    if corner != (held == deleted):
+        raise InfeasibleError(
+            f"corner holds {held}, not the deleted symbol {deleted}" if corner
+            else f"corner holds the deleted symbol {deleted}; use contract_bruck")
+    grid = [list(row[:n]) for row in square.rows[:n]]
+    cols = []
+    for row, big in zip(grid, square.rows):
+        c = big.index(deleted)
+        if c < n:
+            row[c] = big[n]
+        cols.append(c + 1 if c < n else square.rows[n].index(deleted) + 1)
+    if deleted != m:
+        grid = [[v - 1 if v > deleted else v for v in row] for row in grid]
+    try:
+        return LatinSquare(tuple(map(tuple, grid))), cols
+    except GridError:
+        raise InfeasibleError(
+            f"removing symbol {deleted} does not leave a Latin square") from None
+
+
 def contract_bruck(square, deleted: int) -> tuple[LatinSquare, Transversal]:
     """Invert prolong_bruck: remove one symbol and the last row and column.
 
@@ -447,21 +487,8 @@ def contract_bruck(square, deleted: int) -> tuple[LatinSquare, Transversal]:
     match or the repaired grid is not Latin (not every square arises
     from a prolongation).
     """
-    square = _as_square(square)
-    m = square.order
-    deleted = _check_deleted(m, deleted)
-    if square.cell(m, m) != deleted:
-        raise InfeasibleError(
-            f"corner holds {square.cell(m, m)}, not the deleted symbol {deleted}")
-    n = m - 1
-    grid = [list(row[:n]) for row in square.rows[:n]]
-    cols = []
-    for r in range(1, n + 1):
-        c = square.rows[r - 1].index(deleted) + 1
-        cols.append(c)
-        grid[r - 1][c - 1] = square.cell(r, m)
-    result = _relabel(grid, deleted, m)
-    return result, transversal_of(result, cols)
+    small, cols = _contract(square, deleted, corner=True)
+    return small, transversal_of(small, cols)
 
 
 def contract_except(square, deleted: int) -> tuple[LatinSquare, MappingRecord]:
@@ -474,45 +501,8 @@ def contract_except(square, deleted: int) -> tuple[LatinSquare, MappingRecord]:
     the recovered sigma classified against it: complete means the input
     came from prolong_belyavskaya, quasicomplete from prolong_dd.
     """
-    square = _as_square(square)
-    m = square.order
-    deleted = _check_deleted(m, deleted)
-    if square.cell(m, m) == deleted:
-        raise InfeasibleError(
-            f"corner holds the deleted symbol {deleted}; use contract_bruck")
-    n = m - 1
-    r0 = next(r for r in range(1, n + 1) if square.cell(r, m) == deleted)
-    c0 = square.rows[m - 1].index(deleted) + 1
-    grid = [list(row[:n]) for row in square.rows[:n]]
-    sigma = [0] * n
-    sigma[r0 - 1] = c0
-    for r in range(1, n + 1):
-        if r == r0:
-            continue
-        c = square.rows[r - 1].index(deleted) + 1
-        sigma[r - 1] = c
-        grid[r - 1][c - 1] = square.cell(r, m)
-    result = _relabel(grid, deleted, m)
-    return result, conjugated_mapping(result, sigma)
-
-
-def _check_deleted(m: int, deleted: int) -> int:
-    if m < 2:
-        raise DomainError("cannot contract an order-1 square")
-    if not 1 <= deleted <= m:
-        raise DomainError(f"deleted symbol must be in 1..{m}, got {deleted}")
-    return deleted
-
-
-def _relabel(grid, deleted: int, m: int) -> LatinSquare:
-    rows = tuple(tuple(v - 1 if v > deleted else v for v in row)
-                 for row in grid) if deleted != m \
-        else tuple(tuple(row) for row in grid)
-    try:
-        return LatinSquare(rows)
-    except GridError:
-        raise InfeasibleError(
-            f"removing symbol {deleted} does not leave a Latin square") from None
+    small, sigma = _contract(square, deleted, corner=False)
+    return small, conjugated_mapping(small, sigma)
 
 
 def feasible_contractions(square, method: str):
