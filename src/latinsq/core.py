@@ -82,10 +82,10 @@ def validate(grid) -> ValidationReport:
     """Check a raw grid against the Latin square invariants.
 
     Accepts nested sequences (entries may be None for empty cells) or a
-    LatinSquare / PartialLatinSquare.  Returns a report listing every
-    offending row/column duplicate plus any shape, symbol-range or
-    empty-cell defects.  The report is empty exactly when the grid is a
-    Latin square.
+    LatinSquare / PartialLatinSquare.  Returns a report listing any
+    symbol-range and empty-cell defects, then every row/column duplicate
+    among the cells that hold symbols; a shape defect is reported alone.
+    The report is empty exactly when the grid is a Latin square.
     """
     rows = _raw_rows(grid)
     issues: list[ValidationIssue] = []
@@ -117,8 +117,11 @@ def validate(grid) -> ValidationReport:
         plural = "s" if empties != 1 else ""
         issues.append(ValidationIssue(
             "empty", 0, None, f"{empties} empty cell{plural}"))
-    # Duplicates are looked for only in a grid with nothing else wrong.
-    return ValidationReport(tuple(issues or _duplicates(rows)))
+    if any(i.kind == "symbol" for i in issues):
+        # The cells reported above take no part in the duplicate scan.
+        rows = [[v if isinstance(v, int) and not isinstance(v, bool)
+                 and 1 <= v <= n else None for v in row] for row in rows]
+    return ValidationReport(tuple(issues + _duplicates(rows)))
 
 
 def _duplicates(rows) -> list[ValidationIssue]:
@@ -205,10 +208,7 @@ class PartialLatinSquare:
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        report = validate(self.rows)
-        # validate() stops at empty cells, so check filled duplicates here.
-        bad = ([i for i in report.issues if i.kind != "empty"]
-               or _duplicates(self.rows))
+        bad = [i for i in validate(self.rows).issues if i.kind != "empty"]
         if bad:
             raise GridError("not a valid partial square:\n"
                             + "\n".join(str(i) for i in bad))
@@ -356,8 +356,10 @@ def permuted(square: LatinSquare,
     afterwards.  Permutations are 1-based; None means identity.
     """
     n = square.order
-    rp = _check_perm(row_perm, n, "row permutation") if row_perm else list(range(1, n + 1))
-    cp = _check_perm(col_perm, n, "column permutation") if col_perm else list(range(1, n + 1))
+    rp = _check_perm(row_perm, n, "row permutation") \
+        if row_perm is not None else list(range(1, n + 1))
+    cp = _check_perm(col_perm, n, "column permutation") \
+        if col_perm is not None else list(range(1, n + 1))
     return LatinSquare(tuple(
         tuple(square.rows[rp[i] - 1][cp[j] - 1] for j in range(n))
         for i in range(n)))

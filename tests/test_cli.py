@@ -38,6 +38,9 @@ class TestVerify:
         assert code == 1
         assert "column 1 duplicates symbol 1" in out
         assert "column 2 duplicates symbol 2" in out
+        code, out, _ = run_cli(capsys, "verify", write(tmp_path, "2\n1 1\n2 5\n"))
+        assert (code, out) == (1, "row 2: symbol 5 out of range for order 2\n"
+                                  "row 1 duplicates symbol 1\n")
 
     def test_partial_square_fails(self, capsys, tmp_path):
         path = write(tmp_path, "2\n1 .\n. 1\n")

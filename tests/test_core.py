@@ -56,6 +56,9 @@ class TestValidate:
     def test_symbol_out_of_range(self):
         report = validate([[1, 2, 4], [2, 3, 1], [3, 1, 2]])
         assert any(i.kind == "symbol" and i.index == 1 for i in report.issues)
+        report = validate([[1, 1], [2, 5]])
+        assert [(i.kind, i.index, i.symbol) for i in report.issues] == \
+            [("symbol", 2, 5), ("row", 1, 1)]
 
     def test_bool_cells_are_not_symbols(self):
         report = validate([[True]])
@@ -215,6 +218,10 @@ class TestPermuted:
     def test_bad_permutation(self):
         with pytest.raises(DomainError):
             permuted(cyclic_square(3), row_perm=(1, 1, 2))
+        with pytest.raises(DomainError):
+            permuted(cyclic_square(3), row_perm=[])
+        with pytest.raises(DomainError):
+            permuted(cyclic_square(3), col_perm=())
 
 
 class TestLsqFormat:
