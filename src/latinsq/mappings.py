@@ -94,20 +94,23 @@ def conjugated_mapping(square: LatinSquare,
     ("complete" / "quasicomplete" / "neither") plus the special symbol
     and duplicate pair when quasicomplete.
     """
-    n = square.order
-    sigma = tuple(_check_perm(sigma, n, "sigma"))
-    bar = tuple(square.rows[x][sigma[x] - 1] for x in range(n))
+    sigma = tuple(_check_perm(sigma, square.order, "sigma"))
+    return _classified(square.rows, sigma)
+
+
+def _classified(rows, sigma: tuple[int, ...]) -> MappingRecord:
+    """conjugated_mapping for a sigma already known to be a permutation."""
+    n = len(rows)
+    bar = tuple([rows[x][c - 1] for x, c in enumerate(sigma)])
     seen = set(bar)
     if len(seen) == n:
         return MappingRecord(n, sigma, bar, "complete")
     if len(seen) == n - 1:
-        special = next(s for s in range(1, n + 1) if s not in seen)
-        counts: dict[int, list[int]] = {}
-        for x, v in enumerate(bar, start=1):
-            counts.setdefault(v, []).append(x)
-        x1, x2 = next(xs for xs in counts.values() if len(xs) == 2)
+        twice = sum(bar) - sum(seen)
+        x1 = bar.index(twice) + 1
         return MappingRecord(n, sigma, bar, "quasicomplete",
-                             special=special, duplicate_pair=(x1, x2))
+                             special=n * (n + 1) // 2 - sum(seen),
+                             duplicate_pair=(x1, bar.index(twice, x1) + 1))
     return MappingRecord(n, sigma, bar, "neither")
 
 
@@ -286,7 +289,7 @@ def iter_quasicomplete_mappings(square: LatinSquare) -> Iterator[MappingRecord]:
     n = square.order
     for picked in _transversal_cols(square.rows, [(1 << n) - 1] * n,
                                     repeat=True):
-        yield conjugated_mapping(square, [c + 1 for c in picked])
+        yield _classified(square.rows, tuple([c + 1 for c in picked]))
 
 
 def find_quasicomplete_mappings(square: LatinSquare,
