@@ -356,10 +356,9 @@ def permuted(square: LatinSquare,
     afterwards.  Permutations are 1-based; None means identity.
     """
     n = square.order
-    rp = _check_perm(row_perm, n, "row permutation") \
-        if row_perm is not None else list(range(1, n + 1))
-    cp = _check_perm(col_perm, n, "column permutation") \
-        if col_perm is not None else list(range(1, n + 1))
+    identity = list(range(1, n + 1))
+    rp = identity if row_perm is None else _check_perm(row_perm, n, "row permutation")
+    cp = identity if col_perm is None else _check_perm(col_perm, n, "column permutation")
     return LatinSquare(tuple(
         tuple(square.rows[rp[i] - 1][cp[j] - 1] for j in range(n))
         for i in range(n)))

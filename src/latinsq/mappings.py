@@ -105,7 +105,7 @@ def _classified(rows, sigma: tuple[int, ...]) -> MappingRecord:
     seen = set(bar)
     if len(seen) == n:
         return MappingRecord(n, sigma, bar, "complete")
-    if len(seen) == n - 1:
+    if len(seen) == n - 1:  # bar misses one of 1..n and holds one twice
         twice = sum(bar) - sum(seen)
         x1 = bar.index(twice) + 1
         return MappingRecord(n, sigma, bar, "quasicomplete",
