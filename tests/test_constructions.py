@@ -578,3 +578,27 @@ def test_frozen_provenance(name):
                  for o in (rep.provenance[(r, c)] for c in range(1, m + 1)))
         for r in range(1, m + 1))
     assert tokens == expected
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_PROVENANCE))
+def test_provenance_view(name):
+    rep = FROZEN_PROVENANCE[name][0]()
+    prov = rep.provenance
+    m = rep.output.order
+    assert len(prov) == m * m
+    assert set(prov) == {(r, c) for r in range(1, m + 1) for c in range(1, m + 1)}
+    for key in ((0, 1), (m + 1, 1), (1, m + 1), (-1, -1), "x"):
+        assert key not in prov
+        assert prov.get(key) is None
+        with pytest.raises(KeyError):
+            prov[key]
+    copy = ConstructionReport(rep.output, dict(prov), rep.completions_found,
+                              rep.intermediate)
+    assert copy.provenance == prov and copy == rep
+    extra = dict(prov)
+    extra[(m + 1, 1)] = CellOrigin("unchanged")
+    missing = dict(prov)
+    del missing[(m, m)]
+    for bad in (extra, missing):
+        with pytest.raises(DomainError, match="cover every output cell"):
+            ConstructionReport(rep.output, bad)

@@ -2,6 +2,7 @@
 
 import random
 import re
+from enum import IntEnum
 
 import pytest
 
@@ -35,6 +36,47 @@ def naive_duplicates(rows):
             issues.append(("column", c + 1, v,
                            f"column {c + 1} duplicates symbol {v}"))
     return issues
+
+
+def naive_validate(rows):
+    """validate's issues, by the definitions: shape, then symbols and empty
+    cells, then duplicates (by counting) among the cells holding symbols."""
+    n = len(rows)
+    if n == 0:
+        return [("shape", 0, None, "empty grid")]
+    shape = [("shape", r, None, f"row {r} has {len(row)} entries, expected {n}")
+             for r, row in enumerate(rows, start=1) if len(row) != n]
+    if shape:
+        return shape
+
+    def symbol(v):
+        ok = isinstance(v, int) and not isinstance(v, bool)
+        return v if ok and 1 <= v <= n else None
+
+    issues = []
+    empties = 0
+    for r, row in enumerate(rows, start=1):
+        for v in row:
+            if v is None:
+                empties += 1
+            elif symbol(v) is None:
+                integer = isinstance(v, int) and not isinstance(v, bool)
+                issues.append(("symbol", r, v if integer else None,
+                               f"row {r}: symbol {v!r} out of range for order {n}"))
+    if empties:
+        issues.append(("empty", 0, None,
+                       f"{empties} empty cell{'s' if empties != 1 else ''}"))
+    clean = [[symbol(v) for v in row] for row in rows]
+    for kind, lines in (("row", clean), ("column", list(zip(*clean)))):
+        for i, line in enumerate(lines, start=1):
+            held = [v for v in line if v is not None]
+            for v in sorted(set(v for v in held if held.count(v) > 1)):
+                issues.append((kind, i, v, f"{kind} {i} duplicates symbol {v}"))
+    return issues
+
+
+class Small(IntEnum):
+    ONE = 1
 
 
 class TestValidate:
@@ -87,6 +129,38 @@ class TestValidate:
                 got = [(i.kind, i.index, i.symbol, i.message)
                        for i in validate(rows).issues]
                 assert got == naive_duplicates(rows), rows
+
+    def test_malformed_variants_match_naive_reference(self):
+        rng = random.Random(20151018)
+        kinds = ("true", "float", "intenum", "none", "list", "str",
+                 "short", "swap")
+        for n in range(1, 10):
+            for seed in range(4):
+                base = cyclic_square(n) if seed == 0 else random_square(n, seed)
+                assert validate(base).ok and validate(base.rows).ok
+                for kind in kinds:
+                    rows = [list(row) for row in base.rows]
+                    r, c = rng.randrange(n), rng.randrange(n)
+                    if kind == "true":
+                        rows[r][c] = True
+                    elif kind == "float":
+                        rows[r][c] = float(rows[r][c])
+                    elif kind == "intenum":  # still a Latin square
+                        rows[r][rows[r].index(1)] = Small.ONE
+                    elif kind == "none":
+                        rows[r][c] = None
+                    elif kind == "list":
+                        rows[r][c] = [1]
+                    elif kind == "str":
+                        rows[r][c] = "1"
+                    elif kind == "short":
+                        del rows[r][c]
+                    else:
+                        c2 = rng.randrange(n)
+                        rows[r][c], rows[r][c2] = rows[r][c2], rows[r][c]
+                    got = [(i.kind, i.index, i.symbol, i.message)
+                           for i in validate(rows).issues]
+                    assert got == naive_validate(rows), (kind, rows)
 
     def test_empty_cells_counted(self):
         report = validate([[1, None], [None, 2]])
