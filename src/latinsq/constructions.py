@@ -39,9 +39,9 @@ suite able to audit outputs cell by cell.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from itertools import chain
 
 from .core import (
     DomainError,
@@ -98,15 +98,48 @@ class CellOrigin:
         return self.kind if self.step is None else f"{self.kind}({self.step})"
 
 
+class _Provenance(Mapping):
+    """Read-only {(row, col): CellOrigin} view over m rows of origins.
+
+    Keys are the 1-based cells of the m x m grid, in row-major order.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows):
+        self._rows = tuple(map(tuple, rows))
+
+    def __getitem__(self, cell):
+        try:
+            r, c = cell
+            if r >= 1 and c >= 1:
+                return self._rows[r - 1][c - 1]
+        except (TypeError, ValueError, IndexError):
+            pass
+        raise KeyError(cell)
+
+    def __iter__(self):
+        m = len(self._rows)
+        return ((r, c) for r in range(1, m + 1) for c in range(1, m + 1))
+
+    def __len__(self):
+        return len(self._rows) ** 2
+
+    def __repr__(self):
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
 @dataclass(frozen=True)
 class ConstructionReport:
     """A constructed square plus a per-cell audit trail.
 
     provenance maps every 1-based (row, col) of the output to a
-    CellOrigin.  completions_found is the number of completions the
-    search produced (generalized constructions only; all reports of one
-    call share the value).  intermediate is the classification record of
-    the second-step mapping (two_step only).
+    CellOrigin: a read-only mapping view over m rows of origins,
+    iterated row-major.  A mapping passed in must cover every output
+    cell exactly once.  completions_found is the number of completions
+    the search produced (generalized constructions only; all reports of
+    one call share the value and the provenance).  intermediate is the
+    classification record of the second-step mapping (two_step only).
     """
 
     output: LatinSquare
@@ -116,11 +149,17 @@ class ConstructionReport:
 
     def __post_init__(self):
         m = self.output.order
-        cells = {(r, c) for r in range(1, m + 1) for c in range(1, m + 1)}
-        if set(self.provenance) != cells:
+        prov = self.provenance
+        span = range(1, m + 1)
+        if isinstance(prov, _Provenance):
+            covered = len(prov._rows) == m and set(map(len, prov._rows)) == {m}
+        else:
+            covered = set(prov) == {(r, c) for r in span for c in span}
+            if covered:
+                prov = _Provenance([[prov[(r, c)] for c in span] for r in span])
+        if not covered:
             raise DomainError("provenance must cover every output cell exactly once")
-        object.__setattr__(self, "provenance",
-                           MappingProxyType(dict(self.provenance)))
+        object.__setattr__(self, "provenance", prov)
 
 
 def _as_transversal(square: LatinSquare, t) -> Transversal:
@@ -159,7 +198,8 @@ def _project(square: LatinSquare, objs, fill, col_assign, row_assign,
     cells the kept cell would have projected into receive fill(j);
     otherwise they stay unfilled.  Checks fill, the assignments (None =
     defaults) and that the objects (`what`) are disjoint.  Returns the
-    working grid (0 = unfilled), its provenance, and each object's
+    working grid (0 = unfilled), its provenance grid (None = unfilled;
+    one shared CellOrigin per kind and step), and each object's 1-based
     (new row, new column) crossing in the k x k block.
     """
     n = square.order
@@ -178,26 +218,29 @@ def _project(square: LatinSquare, objs, fill, col_assign, row_assign,
     grid = [list(row) + [0] * k for row in square.rows]
     grid += [[0] * (n + k) for _ in range(k)]
     unchanged = CellOrigin("unchanged")
-    prov = {(r, c): unchanged for r in range(1, n + 1) for c in range(1, n + 1)}
+    prov = [[unchanged] * n + [None] * k for _ in range(n)]
+    prov += [[None] * (n + k) for _ in range(k)]
     crossings = []
     for j, (cols, values, kept) in enumerate(objs, start=1):
         f, nr, nc = fill[j - 1], n + ra[j - 1], n + ca[j - 1]
         crossings.append((nr, nc))
+        vacated, to_col, to_row, border_fill = (
+            CellOrigin(kind, j)
+            for kind in ("vacated", "projected_col", "projected_row", "border_fill"))
+        new_row, new_prov = grid[nr - 1], prov[nr - 1]
         for x, (c, v) in enumerate(zip(cols, values), start=1):
+            row, origins = grid[x - 1], prov[x - 1]
             if x == kept:
-                prov[(x, c)] = CellOrigin("kept", j)
+                origins[c - 1] = CellOrigin("kept", j)
                 if border:
-                    grid[x - 1][nc - 1] = f
-                    prov[(x, nc)] = CellOrigin("border_fill", j)
-                    grid[nr - 1][c - 1] = f
-                    prov[(nr, c)] = CellOrigin("border_fill", j)
+                    row[nc - 1] = new_row[c - 1] = f
+                    origins[nc - 1] = new_prov[c - 1] = border_fill
                 continue
-            grid[x - 1][c - 1] = f
-            prov[(x, c)] = CellOrigin("vacated", j)
-            grid[x - 1][nc - 1] = v
-            prov[(x, nc)] = CellOrigin("projected_col", j)
-            grid[nr - 1][c - 1] = v
-            prov[(nr, c)] = CellOrigin("projected_row", j)
+            row[c - 1] = f
+            origins[c - 1] = vacated
+            row[nc - 1] = new_row[c - 1] = v
+            origins[nc - 1] = to_col
+            new_prov[c - 1] = to_row
     return grid, prov, crossings
 
 
@@ -206,7 +249,7 @@ def _finish(grid, prov, **extra) -> ConstructionReport:
         out = LatinSquare(tuple(tuple(row) for row in grid))
     except GridError as exc:  # unreachable for valid parameters
         raise LatinError(f"construction produced an invalid square: {exc}")
-    return ConstructionReport(out, prov, **extra)
+    return ConstructionReport(out, _Provenance(prov), **extra)
 
 
 def _prolong_one(square: LatinSquare, obj, corner: int,
@@ -214,7 +257,7 @@ def _prolong_one(square: LatinSquare, obj, corner: int,
     """Project one parameter object and write `corner` at (n+1, n+1)."""
     grid, prov, [(r, c)] = _project(square, [obj], None, None, None)
     grid[r - 1][c - 1] = corner
-    prov[(r, c)] = CellOrigin(kind, 1)
+    prov[r - 1][c - 1] = CellOrigin(kind, 1)
     return _finish(grid, prov)
 
 
@@ -265,10 +308,10 @@ def prolong_disjoint(square, transversals, fill=None, col_assign=None,
     ts = [_as_transversal(square, t) for t in transversals]
     grid, prov, _ = _project(square, [(t.cols, t.values, None) for t in ts],
                              fill, col_assign, row_assign)
-    for i, row in enumerate(_check_bottom(bottom, n, len(ts))):
-        for j, v in enumerate(row):
-            grid[n + i][n + j] = v
-            prov[(n + i + 1, n + j + 1)] = CellOrigin("border_fill")
+    block = CellOrigin("border_fill")
+    for i, row in enumerate(_check_bottom(bottom, n, len(ts)), start=n):
+        grid[i][n:] = row
+        prov[i][n:] = [block] * len(row)
     return _finish(grid, prov)
 
 
@@ -328,13 +371,16 @@ def prolong_belyavskaya_gen(square, pairs, fill=None, col_assign=None,
 
 
 def _complete_reports(grid, prov, limit: int | None) -> list[ConstructionReport]:
-    """Resolve the unfilled cells by search; one report per completion."""
+    """Resolve the unfilled cells by search; one report per completion,
+    all sharing one provenance grid."""
     partial = PartialLatinSquare(tuple(
         tuple(v if v else None for v in row) for row in grid))
+    completed = CellOrigin("completed")
     for (r, c) in partial.empty_cells():
-        prov[(r, c)] = CellOrigin("completed")
+        prov[r - 1][c - 1] = completed
+    view = _Provenance(prov)
     completions = complete_partial(partial, limit=limit)
-    return [ConstructionReport(sq, dict(prov), completions_found=len(completions))
+    return [ConstructionReport(sq, view, completions_found=len(completions))
             for sq in completions]
 
 
@@ -378,7 +424,7 @@ def prolong_dd_gen(square, pairs, fill=None, col_assign=None, row_assign=None,
     if seed_diagonal:
         for j, (rec, (r, c)) in enumerate(zip(recs, crossings), start=1):
             grid[r - 1][c - 1] = rec.special
-            prov[(r, c)] = CellOrigin("diagonal_seed", j)
+            prov[r - 1][c - 1] = CellOrigin("diagonal_seed", j)
     return _complete_reports(grid, prov, limit)
 
 
@@ -428,13 +474,15 @@ def two_step(square, t1, t2, first: str = "bruck", excepted=None,
         raise LatinError("two-step invariant violated: sigma2 is neither "
                          "complete nor quasicomplete")
 
-    prov: dict[tuple[int, int], CellOrigin] = {}
-    for cell, origin in rep2.provenance.items():
-        if origin.kind == "unchanged":
-            prov[cell] = rep1.provenance.get(cell, origin)
-        else:
-            prov[cell] = CellOrigin(origin.kind,
-                                    2 if origin.step is not None else None)
+    # Row by row: a cell the second step left unchanged keeps its first-
+    # step origin; the second step's own origins are relabelled step 2.
+    first, second = rep1.provenance._rows, rep2.provenance._rows
+    step2 = {o: CellOrigin(o.kind, 2 if o.step is not None else None)
+             for o in set(chain.from_iterable(second))}
+    prov = _Provenance(
+        [first[r][c] if o.kind == "unchanged" else step2[o]
+         for c, o in enumerate(row)]
+        for r, row in enumerate(second))
     return ConstructionReport(rep2.output, prov, intermediate=rec2)
 
 
