@@ -495,6 +495,10 @@ def _contract(square, deleted: int, corner: bool) -> tuple[LatinSquare, list[int
     the row's last value; symbols above `deleted` shift down by one.
     Returns the square and each row's recovered 1-based column (for r0,
     where the last row holds `deleted`).
+
+    The repaired rows are always Latin.  Column c < m is Latin exactly
+    when the row holding `deleted` there (if any) takes q(m, c) from its
+    last cell; that O(m) test runs before the grid is built.
     """
     square = _as_square(square)
     m = square.order
@@ -508,20 +512,19 @@ def _contract(square, deleted: int, corner: bool) -> tuple[LatinSquare, list[int
         raise InfeasibleError(
             f"corner holds {held}, not the deleted symbol {deleted}" if corner
             else f"corner holds the deleted symbol {deleted}; use contract_bruck")
-    grid = [list(row[:n]) for row in square.rows[:n]]
-    cols = []
-    for row, big in zip(grid, square.rows):
-        c = big.index(deleted)
+    rows, last = square.rows[:n], square.rows[n]
+    where = [big.index(deleted) for big in rows]
+    if any(big[n] != last[c] for big, c in zip(rows, where) if c < n):
+        raise InfeasibleError(
+            f"removing symbol {deleted} does not leave a Latin square")
+    grid = [list(big[:n]) for big in rows]
+    for row, big, c in zip(grid, rows, where):
         if c < n:
             row[c] = big[n]
-        cols.append(c + 1 if c < n else square.rows[n].index(deleted) + 1)
     if deleted != m:
         grid = [[v - 1 if v > deleted else v for v in row] for row in grid]
-    try:
-        return LatinSquare(tuple(map(tuple, grid))), cols
-    except GridError:
-        raise InfeasibleError(
-            f"removing symbol {deleted} does not leave a Latin square") from None
+    cols = [c + 1 if c < n else last.index(deleted) + 1 for c in where]
+    return LatinSquare(tuple(map(tuple, grid))), cols
 
 
 def contract_bruck(square, deleted: int) -> tuple[LatinSquare, Transversal]:

@@ -1,6 +1,7 @@
 """Prolongation and contraction operations against frozen references."""
 
 import random
+import time
 
 import pytest
 
@@ -461,6 +462,17 @@ class TestFeasibleContractions:
     def test_bad_method(self):
         with pytest.raises(DomainError):
             feasible_contractions(grids.BRUCK_OUT4, "dd")
+
+    def test_except_try_all_skips_infeasible_symbols_cheaply(self):
+        sq = cyclic_square(101)
+        identity = tuple(range(1, 102))  # a transversal at odd order
+        big = prolong_belyavskaya(sq, identity, (1, 1)).output
+        start = time.perf_counter()
+        found = feasible_contractions(big, "except")
+        elapsed = time.perf_counter() - start
+        assert [(d, small.rows, rec.sigma) for d, small, rec in found] == \
+            [(102, sq.rows, identity)]
+        assert elapsed < 0.25, f"{elapsed:.3f} s"
 
     def test_match_naive_reference(self):
         squares = [LatinSquare(g) for g in (
