@@ -190,6 +190,13 @@ def _as_square(grid) -> "LatinSquare":
     return grid if isinstance(grid, LatinSquare) else LatinSquare(_raw_rows(grid))
 
 
+def _cell(rows, row: int, col: int):
+    n = len(rows)
+    if not (1 <= row <= n and 1 <= col <= n):
+        raise DomainError(f"cell ({row}, {col}) is outside 1..{n}")
+    return rows[row - 1][col - 1]
+
+
 @dataclass(frozen=True)
 class LatinSquare:
     """An order-n Latin square over symbols 1..n; immutable and hashable."""
@@ -208,7 +215,7 @@ class LatinSquare:
 
     def cell(self, row: int, col: int) -> int:
         """Symbol at 1-based (row, col); the quasigroup product row * col."""
-        return self.rows[row - 1][col - 1]
+        return _cell(self.rows, row, col)
 
 
 @dataclass(frozen=True)
@@ -232,7 +239,7 @@ class PartialLatinSquare:
         return len(self.rows)
 
     def cell(self, row: int, col: int) -> int | None:
-        return self.rows[row - 1][col - 1]
+        return _cell(self.rows, row, col)
 
     def empty_cells(self) -> list[tuple[int, int]]:
         """1-based (row, col) of every empty cell, row-major."""

@@ -194,6 +194,15 @@ class TestSquareTypes:
         assert sq.cell(2, 3) == 1
         assert sq.cell(1, 1) == 1
 
+    def test_cell_outside_the_square_is_a_domain_error(self):
+        for sq in (cyclic_square(3), PartialLatinSquare(((1, None), (None, 1)))):
+            n = sq.order
+            for row, col in ((0, 0), (0, 1), (1, 0), (-1, 1), (1, -1),
+                             (n + 1, 1), (1, n + 1)):
+                with pytest.raises(DomainError, match="outside"):
+                    sq.cell(row, col)
+            assert sq.cell(n, n) == sq.rows[n - 1][n - 1]
+
     def test_rejects_non_latin(self):
         with pytest.raises(GridError):
             LatinSquare(((1, 2), (1, 2)))
