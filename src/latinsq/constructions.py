@@ -125,9 +125,6 @@ class _Provenance(Mapping):
     def __len__(self):
         return len(self._rows) ** 2
 
-    def __repr__(self):
-        return f"{type(self).__name__}({dict(self)!r})"
-
 
 @dataclass(frozen=True)
 class ConstructionReport:
@@ -150,10 +147,10 @@ class ConstructionReport:
     def __post_init__(self):
         m = self.output.order
         prov = self.provenance
-        span = range(1, m + 1)
         if isinstance(prov, _Provenance):
             covered = len(prov._rows) == m and set(map(len, prov._rows)) == {m}
         else:
+            span = range(1, m + 1)
             covered = set(prov) == {(r, c) for r in span for c in span}
             if covered:
                 prov = _Provenance([[prov[(r, c)] for c in span] for r in span])
