@@ -23,7 +23,11 @@ how they fill the rest of the new block: the corner (prolong_bruck,
 prolong_belyavskaya, prolong_dd), a literal bottom block
 (prolong_disjoint), or the completion search (the generalized ones).
 Both contractions run its inverse, `_contract`, and differ only in
-whether the corner must hold the deleted symbol.
+whether the corner must hold the deleted symbol.  Before it builds the
+result, `_contract` applies the contraction criterion: the repaired
+rows are always Latin, and column c < m is Latin exactly when the row r
+holding the deleted symbol in column c has q(r, m) = q(m, c).  A symbol
+that fails raises InfeasibleError after O(m) comparisons.
 
 The single-parameter operations are fully deterministic.  The
 generalized ones (prolong_belyavskaya_gen, prolong_dd_gen) place every
@@ -34,7 +38,9 @@ error.  New rows and columns always land at the end; use
 
 Every report records, for each output cell, where its value came from
 (see CellOrigin), which is what makes the contractions and the test
-suite able to audit outputs cell by cell.
+suite able to audit outputs cell by cell.  The record is a read-only
+mapping view, keyed by 1-based (row, col) and iterated row-major, over
+the m rows of shared CellOrigin objects that `_project` fills.
 """
 
 from __future__ import annotations
