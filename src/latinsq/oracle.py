@@ -2,6 +2,7 @@
 
 Everything here is written the slow, obvious way on purpose: transversals
 and quasicomplete mappings are found by filtering all n! permutations,
+disjoint families by filtering every k-combination of transversals,
 completions by a naive first-empty-cell search that re-scans whole rows
 and columns instead of keeping incremental state.  None of the
 backtracking kernels in `latinsq.core` / `latinsq.mappings` are reused,
@@ -14,7 +15,7 @@ instead of hanging.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .core import DomainError, LatinError
 
@@ -47,6 +48,14 @@ def oracle_transversals(grid) -> list[tuple[int, ...]]:
         if len(symbols) == n:
             found.append(tuple(c + 1 for c in perm))
     return found
+
+
+def oracle_disjoint_families(grid, k: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every family of k pairwise cell-disjoint transversals, as tuples of
+    column picks, by filtering all k-combinations in lexicographic order."""
+    return [family for family in combinations(oracle_transversals(grid), k)
+            if all(all(a != b for a, b in zip(s, t))
+                   for s, t in combinations(family, 2))]
 
 
 def oracle_quasicomplete(grid) -> list[tuple[int, ...]]:

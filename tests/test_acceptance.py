@@ -16,6 +16,7 @@ from latinsq import (
     contract_bruck,
     contract_except,
     cyclic_square,
+    find_disjoint_transversals,
     find_quasicomplete_mappings,
     find_transversals,
     format_lsq,
@@ -30,6 +31,7 @@ from latinsq import (
 )
 from latinsq.oracle import (
     oracle_completions,
+    oracle_disjoint_families,
     oracle_quasicomplete,
     oracle_transversals,
 )
@@ -251,6 +253,15 @@ def test_criterion_3_oracle_equivalence(corpus):
             naive = set(oracle_quasicomplete(sq))
             if kernel != naive:
                 failures.append(f"quasicomplete sets differ on corpus[{i}]")
+            for k in range(2, min(n, 3) + 1):
+                naive = oracle_disjoint_families(sq, k)
+                full = find_disjoint_transversals(sq, k)
+                # a limit past the end runs the limited search to exhaustion
+                limited = find_disjoint_transversals(sq, k, len(full) + 1)
+                for label, fams in (("full", full), ("limited", limited)):
+                    if [tuple(t.cols for t in f) for f in fams] != naive:
+                        failures.append(f"{label} k={k} family lists differ "
+                                        f"on corpus[{i}]")
 
             rng = random.Random(9000 + i)
             holes = rng.sample([(r, c) for r in range(n) for c in range(n)],

@@ -9,6 +9,7 @@ from latinsq import (
     PartialLatinSquare,
     complete_partial,
     cyclic_square,
+    find_disjoint_transversals,
     find_quasicomplete_mappings,
     find_transversals,
     random_square,
@@ -16,6 +17,7 @@ from latinsq import (
 from latinsq.oracle import (
     OracleBudgetError,
     oracle_completions,
+    oracle_disjoint_families,
     oracle_quasicomplete,
     oracle_transversals,
 )
@@ -42,6 +44,24 @@ class TestOracleQuasicomplete:
         assert grids.QC_SIGMA in oracle_quasicomplete(grids.QC_BASE4)
 
 
+class TestOracleDisjointFamilies:
+    def test_cyclic_three(self):
+        shifts = [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
+        assert oracle_disjoint_families(grids.CYCLIC3, 1) == [(t,) for t in shifts]
+        assert oracle_disjoint_families(grids.CYCLIC3, 2) == [
+            (shifts[0], shifts[1]), (shifts[0], shifts[2]),
+            (shifts[1], shifts[2])]
+        assert oracle_disjoint_families(grids.CYCLIC3, 3) == [tuple(shifts)]
+
+    def test_no_transversals(self):
+        assert oracle_disjoint_families(cyclic_square(4), 2) == []
+
+    def test_members_are_cell_disjoint(self):
+        for fam in oracle_disjoint_families(cyclic_square(5), 3):
+            cells = {(x, c) for t in fam for x, c in enumerate(t)}
+            assert len(cells) == 15
+
+
 class TestOracleCompletions:
     def test_empty_grids(self):
         assert oracle_completions([[None, None], [None, None]]) == 2
@@ -66,6 +86,8 @@ class TestRefusals:
         with pytest.raises(DomainError):
             oracle_quasicomplete(big)
         with pytest.raises(DomainError):
+            oracle_disjoint_families(big, 2)
+        with pytest.raises(DomainError):
             oracle_completions(big)
 
     def test_non_square(self):
@@ -85,6 +107,13 @@ class TestSpotAgreement:
         for sq in (LatinSquare(grids.QC_BASE4), random_square(5, 8)):
             kernel = {r.sigma for r in find_quasicomplete_mappings(sq)}
             assert kernel == set(oracle_quasicomplete(sq))
+
+    def test_disjoint_family_lists_match(self):
+        for sq in (cyclic_square(5), random_square(6, 4)):
+            for k in (2, 3):
+                kernel = [tuple(t.cols for t in f)
+                          for f in find_disjoint_transversals(sq, k)]
+                assert kernel == oracle_disjoint_families(sq, k)
 
     def test_completion_counts_match(self):
         grid = [list(row) for row in random_square(5, 11).rows]
