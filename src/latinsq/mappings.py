@@ -21,14 +21,16 @@ One row search finds transversals, disjoint families and quasicomplete
 mappings: backtracking with column/symbol bitmasks on an explicit stack,
 never recursive, in lexicographic sigma order; a quasicomplete search is
 a transversal search that may take one symbol twice.  Counts grow fast,
-so the finders accept a limit; `iter_*` variants yield lazily.  With a
-limit, the disjoint-family search stops at the first families, masking
-out the cells of earlier members; without one it combines every
-transversal.
+so the finders accept a limit; `iter_*` variants yield lazily.  One
+driver builds disjoint families member by member.  With a limit it
+searches each member with the cells of the earlier members masked out,
+so it stops at the first families; without one it draws the members
+from a single list of every transversal.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Sequence
@@ -196,87 +198,75 @@ def find_disjoint_transversals(square: LatinSquare, k: int,
     per transversal; k = n asks for a partition of all n^2 cells into
     transversals, i.e. an orthogonal mate of the square.
 
-    With a limit the search stops at the first `limit` families: it
-    looks for each member directly, with the cells of the earlier
-    members masked out.  Without one it enumerates every transversal and
-    combines them, which is faster when every family is wanted.
+    One driver builds the families member by member.  With a limit it
+    searches each member directly, with the cells of the earlier members
+    masked out, and stops at the first `limit` families.  Without one it
+    takes the members from a single list of every transversal, which is
+    faster when every family is wanted.
     """
     n = square.order
     if not 1 <= k <= n:
         raise DomainError(f"family size must be in 1..{n}, got {k}")
     _check_limit(limit)
-    if limit is not None:
-        return _first_families(square, k, limit)
-    all_t = find_transversals(square)
-    masks = []
-    for t in all_t:
-        m = 0
-        for x, c in enumerate(t.cols):
-            m |= 1 << (x * n + (c - 1))
-        masks.append(m)
-
-    out: list[tuple[Transversal, ...]] = []
-
-    def extend(start: int, used: int, picked: list[int]) -> None:
-        if len(picked) == k:
-            out.append(tuple(all_t[i] for i in picked))
-            return
-        for i in range(start, len(all_t)):
-            if masks[i] & used:
-                continue
-            picked.append(i)
-            extend(i + 1, used | masks[i], picked)
-            picked.pop()
-
-    extend(0, 0, [])
-    return out
+    return list(islice(_families(square, k, limit is None), limit))
 
 
-def _first_families(square: LatinSquare, k: int,
-                    limit: int) -> list[tuple[Transversal, ...]]:
-    """The first `limit` families, searching member j + 1 with the cells
-    of members 1..j banned.
+def _families(square: LatinSquare, k: int,
+              combine: bool) -> Iterator[tuple[Transversal, ...]]:
+    """Yield every family of k disjoint transversals, in lexicographic
+    order, building each family member by member on an explicit stack.
 
     Disjoint transversals differ in row 1, so lexicographic member order
     is ascending row-1 column: member j + 1 takes a row-1 column above
-    member j's, and low enough to leave one for each member after it.
-    Each member's search runs in lexicographic order, so the families
-    come out in the order of the full enumeration.
+    member j's, and at most n - k + j to leave one for each member after
+    it.  The family's cells are one bitmask, bit x*n + c for the 0-based
+    cell (x, c).  With combine, a member's candidates are the transversals
+    of one up-front enumeration in that window whose cells miss the
+    family's; otherwise the row search finds them with those cells
+    banned.  Both sources are lexicographic, so they give the same list.
     """
     n = square.order
     rows = square.rows
-    full = (1 << n) - 1
-    banned = [0] * n  # per row, the columns the family so far occupies
+
+    def cell_mask(cols) -> int:
+        return sum(1 << (x * n + c - 1) for x, c in enumerate(cols))
+
+    # members(used, lowest, top): the candidates missing the cells in used
+    # whose 0-based row-1 column lies in lowest..top, lexicographically
+    if combine:
+        pool = [(t, cell_mask(t.cols)) for t in find_transversals(square)]
+        heads = [t.cols[0] for t, _ in pool]  # ascending, as the pool is
+
+        def members(used: int, lowest: int, top: int) -> Iterator[Transversal]:
+            window = pool[bisect_right(heads, lowest):
+                          bisect_right(heads, top + 1)]
+            return (t for t, m in window if not m & used)
+    else:
+        full = (1 << n) - 1
+
+        def members(used: int, lowest: int, top: int) -> Iterator[Transversal]:
+            allowed = [full & ~(used >> (x * n)) for x in range(n)]
+            allowed[0] &= (2 << top) - (1 << lowest)
+            return (_transversal(rows, picked)
+                    for picked in _transversal_cols(rows, allowed))
+
     family: list[Transversal] = []
-    out: list[tuple[Transversal, ...]] = []
-
-    def next_member(lowest: int) -> Iterator[list[int]]:
-        """Search the next member, its row-1 column (0-based) at least
-        `lowest` and at most n - k + j for member j + 1."""
-        allowed = [full & ~b for b in banned]
-        allowed[0] &= ((2 << (n - k + len(family))) - 1) & ~((1 << lowest) - 1)
-        return _transversal_cols(rows, allowed)
-
-    searches = [next_member(0)]
-    while searches:
-        picked = next(searches[-1], None)
-        if picked is None:
-            searches.pop()
+    used = 0
+    stack = [members(used, 0, n - k)]
+    while stack:
+        t = next(stack[-1], None)
+        if t is None:
+            stack.pop()
             if family:
-                for x, c in enumerate(family.pop().cols):
-                    banned[x] ^= 1 << (c - 1)
+                used ^= cell_mask(family.pop().cols)
             continue
-        t = _transversal(rows, picked)
         if len(family) + 1 == k:
-            out.append((*family, t))
-            if len(out) == limit:
-                break
+            yield (*family, t)
             continue
         family.append(t)
-        for x, c in enumerate(picked):
-            banned[x] |= 1 << c
-        searches.append(next_member(picked[0] + 1))
-    return out
+        used |= cell_mask(t.cols)
+        # t's 1-based row-1 column is the 0-based column just above it
+        stack.append(members(used, t.cols[0], n - k + len(family)))
 
 
 def iter_quasicomplete_mappings(square: LatinSquare) -> Iterator[MappingRecord]:
