@@ -66,15 +66,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen", help="emit a seeded pseudo-random Latin square")
-    p.add_argument("--order", type=int, required=True, metavar="N")
-    p.add_argument("--seed", type=int, default=0, metavar="S")
+    p.add_argument("--order", type=_integer, required=True, metavar="N")
+    p.add_argument("--seed", type=_integer, default=0, metavar="S")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("complete", help="enumerate completions of a partial square")
     p.add_argument("file")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--all", action="store_true", help="emit every completion")
-    g.add_argument("--limit", type=int, default=1, metavar="N",
+    g.add_argument("--limit", type=_integer, default=1, metavar="N",
                    help="emit at most N completions (default 1; 0 = no limit)")
     p.set_defaults(func=_cmd_complete)
 
@@ -88,9 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
         g.add_argument("--list", dest="mode", action="store_const", const="list",
                        help="print one line per result")
         if name == "transversals":
-            p.add_argument("--disjoint", type=int, metavar="K",
+            p.add_argument("--disjoint", type=_integer, metavar="K",
                            help="work on families of K pairwise disjoint transversals")
-        p.add_argument("--limit", type=int, metavar="N",
+        p.add_argument("--limit", type=_integer, metavar="N",
                        help="cap --list output at N lines (0 = no limit)")
         p.set_defaults(mode="count",
                        func=_cmd_transversals if name == "transversals"
@@ -105,9 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="transversal columns 'c1 c2 ... cn' (repeatable)")
     p.add_argument("--sigma", action="append", metavar="PERM",
                    help="mapping 's1 s2 ... sn' (repeatable)")
-    p.add_argument("--except", dest="excepts", action="append", type=int,
+    p.add_argument("--except", dest="excepts", action="append", type=_integer,
                    metavar="ROW", help="row of the cell exempted from projection")
-    p.add_argument("--keep", dest="keeps", action="append", type=int,
+    p.add_argument("--keep", dest="keeps", action="append", type=_integer,
                    metavar="ROW", help="kept row of a quasicomplete mapping")
     p.add_argument("--fill", metavar="LIST",
                    help="new symbol written into each transversal's vacated cells")
@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t2", metavar="PERM", help="second transversal (two-step)")
     p.add_argument("--first", choices=["bruck", "belyavskaya"],
                    help="first step of two-step (default bruck)")
-    p.add_argument("--limit", type=int, metavar="N",
+    p.add_argument("--limit", type=_integer, metavar="N",
                    help="completions per generalized construction "
                         "(default 1; 0 = no limit)")
     p.add_argument("--no-diag-seed", dest="diag_seed", action="store_false",
@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("contract", help="run a contraction (inverse prolongation)")
     p.add_argument("file")
     p.add_argument("--method", required=True, choices=["bruck", "except"])
-    p.add_argument("--deleted", type=int, metavar="SYMBOL",
+    p.add_argument("--deleted", type=_integer, metavar="SYMBOL",
                    help="symbol removed by the contraction")
     p.add_argument("--try-all", dest="try_all", action="store_true",
                    help="report every feasible deleted symbol")
@@ -145,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
+    # like standard input: a bad byte becomes a bad token, not a crash
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         return fh.read()
 
 
@@ -156,10 +157,21 @@ def _load_full(path: str) -> core.LatinSquare:
     return grid
 
 
+def _integer(text: str) -> int:
+    """An integer token of the LSQ format (see core._INTEGER) as an int;
+    int() alone would also take "+3", "1_0" and "３"."""
+    try:
+        if core._INTEGER.fullmatch(text):
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split())
-    except ValueError:
+        return tuple(_integer(tok) for tok in text.split())
+    except argparse.ArgumentTypeError:
         raise DomainError(f"{flag}: expected whitespace-separated integers, "
                           f"got {text!r}") from None
 

@@ -61,6 +61,13 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", write(tmp_path, "2\n+1 2\n2 1\n"))
         assert (code, err) == (2, "error: line 2: bad token '+1'\n")
 
+    def test_undecodable_byte_is_a_bad_token(self, capsys, tmp_path):
+        path = tmp_path / "square.lsq"
+        path.write_bytes(b"3\n1 2 3\n2 3 \xff\n3 1 2\n")
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 3: bad token")
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "verify", "/nonexistent.lsq")
         assert code == 2
@@ -429,3 +436,52 @@ def test_negative_limit_rejected(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
     assert (code, out) == (2, "")
     assert err == f"error: --limit must be 0 (no limit) or positive, got {argv[-1]}\n"
+
+
+# Each case: file contents (None = no file), argv with FILE and TOKEN
+# placeholders, a token the command accepts, and one int() reads but the
+# LSQ format does not.
+BRUCK4_TEXT = format_lsq(grids.BRUCK_OUT4)
+DISJOINT1 = ("prolong", "FILE", "--method", "disjoint", "--transversal", "1 2 3")
+
+
+@pytest.mark.parametrize("text, argv, good, bad", [
+    (CYC3_TEXT, ("prolong", "FILE", "--method", "bruck", "--transversal", "TOKEN"),
+     "3 1 2", "3 1 \uff12"),
+    (CYC3_TEXT, ("prolong", "FILE", "--method", "bruck", "--transversal", "TOKEN"),
+     "3 1 2", "+3 1 2"),
+    (QC4_TEXT, ("prolong", "FILE", "--method", "dd", "--sigma", "TOKEN"),
+     "1 3 2 4", "1 3 2 +4"),
+    (CYC3_TEXT, DISJOINT1 + ("--fill", "TOKEN"), "4", "\uff14"),
+    (CYC3_TEXT, DISJOINT1 + ("--cols", "TOKEN"), "1", "+1"),
+    (CYC3_TEXT, DISJOINT1 + ("--rows", "TOKEN"), "1", "\u0661"),
+    (CYC3_TEXT, ("prolong", "FILE", "--method", "two-step", "--t1", "TOKEN",
+                 "--t2", "1 2 3"), "3 1 2", "+3 1 2"),
+    (CYC3_TEXT, ("prolong", "FILE", "--method", "two-step", "--t1", "3 1 2",
+                 "--t2", "TOKEN"), "1 2 3", "1 2 0_3"),
+    (None, ("gen", "--order", "TOKEN"), "10", "1_0"),
+    (None, ("gen", "--order", "3", "--seed", "TOKEN"), "1", "+1"),
+    (CYC3_TEXT, ("transversals", "FILE", "--list", "--limit", "TOKEN"),
+     "2", "\uff12"),
+    (CYC3_TEXT, ("complete", "FILE", "--limit", "TOKEN"), "1", "+1"),
+    (BRUCK4_TEXT, ("contract", "FILE", "--method", "bruck", "--deleted", "TOKEN"),
+     "4", "\uff14"),
+    (CYC3_TEXT, ("prolong", "FILE", "--method", "belyavskaya",
+                 "--transversal", "3 1 2", "--except", "TOKEN"), "2", "+2"),
+    (QC4_TEXT, ("prolong", "FILE", "--method", "dd", "--sigma", "1 3 2 4",
+                "--keep", "TOKEN"), "4", "0_4"),
+    (CYC3_TEXT, ("transversals", "FILE", "--disjoint", "TOKEN"), "2", "+2"),
+], ids=["transversal", "transversal-sign", "sigma", "fill", "cols", "rows",
+        "t1", "t2", "order", "seed", "list-limit", "complete-limit", "deleted",
+        "except", "keep", "disjoint"])
+def test_integer_flags_take_only_lsq_tokens(capsys, tmp_path, text, argv,
+                                            good, bad):
+    path = write(tmp_path, text) if text is not None else None
+
+    def fill(token):
+        return [{"FILE": path, "TOKEN": token}.get(a, a) for a in argv]
+
+    assert run_cli(capsys, *fill(good))[0] == 0
+    code, out, err = run_cli(capsys, *fill(bad))
+    assert (code, out) == (2, "")
+    assert repr(bad) in err
