@@ -464,9 +464,16 @@ def parse_lsq_grid(text: str) -> tuple[tuple[int | None, ...], ...]:
 
 
 def format_lsq(grid, comments: Sequence[str] = ()) -> str:
-    """Render a square or partial square in canonical LSQ text."""
+    """Render a square or partial square in canonical LSQ text.
+
+    Each comment becomes one "# " line, so a comment holding a line break
+    (any that str.splitlines splits on) raises DomainError.
+    """
     rows = _raw_rows(grid)
     lines = [f"# {c}" for c in comments]
+    for line in lines:
+        if "".join(line.splitlines()) != line:
+            raise DomainError(f"comment {line[2:]!r} holds a line break")
     lines.append(str(len(rows)))
     for row in rows:
         lines.append(" ".join("." if v is None else str(v) for v in row))

@@ -326,6 +326,18 @@ class TestLsqFormat:
         text = format_lsq(cyclic_square(2), comments=["deleted: 3"])
         assert text.splitlines()[0] == "# deleted: 3"
 
+    def test_comments_round_trip(self):
+        comments = ["deleted: 3", "", "a # b", "tab\there", "ünï"]
+        text = format_lsq(cyclic_square(2), comments)
+        assert text.splitlines()[:5] == [f"# {c}" for c in comments]
+        assert parse_lsq(text) == cyclic_square(2)
+
+    @pytest.mark.parametrize("comment", ["x\n2\n2 1\n1 2", "a\rb",
+                                         "a\r\nb", "a\u2028b", "trailing\n"])
+    def test_comment_line_break_rejected(self, comment):
+        with pytest.raises(DomainError, match="line break"):
+            format_lsq(cyclic_square(2), [comment])
+
     def test_syntax_errors_carry_line_numbers(self):
         with pytest.raises(GridError, match="line 1"):
             parse_lsq("")
