@@ -160,11 +160,11 @@ def _load_full(path: str) -> core.LatinSquare:
 def _integer(text: str) -> int:
     """An integer token of the LSQ format (see core._INTEGER) as an int;
     int() alone would also take "+3", "1_0" and "３"."""
-    try:
-        if core._INTEGER.fullmatch(text):
+    if core._INTEGER.fullmatch(text):
+        try:
             return int(text)
-    except ValueError:  # more digits than int() converts
-        pass
+        except ValueError:  # more digits than int() converts
+            pass
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
