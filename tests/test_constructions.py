@@ -1,5 +1,6 @@
 """Prolongation and contraction operations against frozen references."""
 
+import itertools
 import random
 import time
 
@@ -367,6 +368,62 @@ class TestTwoStep:
         with pytest.raises(DomainError, match="kept_choice applies only"):
             two_step(CYC3, grids.T_BLUE, grids.T_YELLOW, first="bruck",
                      kept_choice=4)
+
+
+def reference_two_step(square, t1, t2, first, excepted=None, kept_choice=None):
+    """two_step as the composition of the public single-step prolongations,
+    with the step-2 provenance merged over the step-1 provenance."""
+    n = square.order
+    if first == "bruck":
+        rep1 = prolong_bruck(square, t1)
+    else:
+        rep1 = prolong_belyavskaya(square, t1, excepted)
+    sigma2 = tuple(t2.cols) + (n + 1,)
+    rec2 = conjugated_mapping(rep1.output, sigma2)
+    if rec2.kind == "complete":
+        rep2 = prolong_bruck(rep1.output, sigma2)
+    else:
+        rep2 = prolong_dd(rep1.output, sigma2,
+                          n + 1 if kept_choice is None else kept_choice)
+    prov = {}
+    for cell, o in rep2.provenance.items():
+        if o.kind == "unchanged":
+            prov[cell] = rep1.provenance[cell]
+        else:
+            prov[cell] = CellOrigin(o.kind, 2)
+    return rep2.output, prov, rec2
+
+
+def _disjoint_pairs(transversals, most):
+    pairs = [(a, b) for a, b in itertools.combinations(transversals, 2)
+             if not set(a.cells()) & set(b.cells())]
+    return pairs[:most]
+
+
+def test_two_step_is_the_composition_of_single_steps(pool, transversal_cache):
+    calls = 0
+
+    def check(sq, t1, t2, first, cell=None, kept=None):
+        nonlocal calls
+        out, prov, rec2 = reference_two_step(sq, t1, t2, first, cell, kept)
+        rep = two_step(sq, t1, t2, first, cell, kept)
+        assert rep.output == out
+        assert dict(rep.provenance) == prov
+        assert rep.intermediate == rec2
+        calls += 1
+        return rec2
+
+    for n, squares in pool.items():
+        for sq in squares:
+            for a, b in _disjoint_pairs(transversal_cache[sq], 3):
+                for t1, t2 in ((a, b), (b, a)):
+                    check(sq, t1, t2, "bruck")
+                    for x in range(1, n + 1):
+                        cell = (x, t1.cols[x - 1])
+                        rec2 = check(sq, t1, t2, "belyavskaya", cell)
+                        for kept in rec2.duplicate_pair:
+                            check(sq, t1, t2, "belyavskaya", cell, kept)
+    assert calls > 1000
 
 
 class TestContractBruck:
