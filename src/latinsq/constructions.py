@@ -19,9 +19,13 @@ All six prolongations run one projection kernel, `_project`.  It
 vacates every cell of each parameter object except an optional kept
 one, moves the values into the new rows and columns, and records the
 provenance; the operations differ only in the cell they keep and in
-how they fill the rest of the new block: the corner (prolong_bruck,
-prolong_belyavskaya, prolong_dd), a literal bottom block
-(prolong_disjoint), or the completion search (the generalized ones).
+how they fill the rest of the new block: the corner (the single-step
+kernel `_prolong_one`), a literal bottom block (prolong_disjoint), or
+the completion search (the generalized ones).  The single-step kernel
+writes at (n+1, n+1) the one symbol of 1..n+1 its new column lacks:
+n+1 for prolong_bruck, the kept cell's value for prolong_belyavskaya,
+the special element for prolong_dd.  two_step is two passes of that
+kernel, the second over the first's output and provenance.
 Both contractions run its inverse, `_contract`, and differ only in
 whether the corner must hold the deleted symbol.  Before it builds the
 result, `_contract` applies the contraction criterion: the repaired
@@ -47,7 +51,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import chain
 
 from .core import (
     DomainError,
@@ -191,7 +194,8 @@ def _check_disjoint(cell_sets: Sequence[Sequence[tuple[int, int]]],
 
 
 def _project(square: LatinSquare, objs, fill, col_assign, row_assign,
-             border: bool = True, what: str = "transversals"):
+             border: bool = True, what: str = "transversals",
+             origins=None, step: int = 1):
     """The projection shared by every prolongation.
 
     objs holds one (cols, values, kept_row | None) per parameter object.
@@ -200,10 +204,12 @@ def _project(square: LatinSquare, objs, fill, col_assign, row_assign,
     new row n+row_assign(j) of their column.  When `border`, the two
     cells the kept cell would have projected into receive fill(j);
     otherwise they stay unfilled.  Checks fill, the assignments (None =
-    defaults) and that the objects (`what`) are disjoint.  Returns the
-    working grid (0 = unfilled), its provenance grid (None = unfilled;
-    one shared CellOrigin per kind and step), and each object's 1-based
-    (new row, new column) crossing in the k x k block.
+    defaults) and that the objects (`what`) are disjoint.  origins holds
+    the input square's provenance rows (None = all unchanged) and object
+    j is labelled step + j - 1.  Returns the working grid (0 =
+    unfilled), its provenance grid (None = unfilled; one shared
+    CellOrigin per kind and step), and each object's 1-based (new row,
+    new column) crossing in the k x k block.
     """
     n = square.order
     k = len(objs)
@@ -220,12 +226,13 @@ def _project(square: LatinSquare, objs, fill, col_assign, row_assign,
     _check_disjoint([list(enumerate(cols, start=1)) for cols, _, _ in objs], what)
     grid = [list(row) + [0] * k for row in square.rows]
     grid += [[0] * (n + k) for _ in range(k)]
-    unchanged = CellOrigin("unchanged")
-    prov = [[unchanged] * n + [None] * k for _ in range(n)]
+    if origins is None:
+        origins = [[CellOrigin("unchanged")] * n] * n
+    prov = [list(row) + [None] * k for row in origins]
     prov += [[None] * (n + k) for _ in range(k)]
     crossings = []
-    for j, (cols, values, kept) in enumerate(objs, start=1):
-        f, nr, nc = fill[j - 1], n + ra[j - 1], n + ca[j - 1]
+    for j, (cols, values, kept) in enumerate(objs, start=step):
+        f, nr, nc = fill[j - step], n + ra[j - step], n + ca[j - step]
         crossings.append((nr, nc))
         vacated, to_col, to_row, border_fill = (
             CellOrigin(kind, j)
@@ -255,13 +262,18 @@ def _finish(grid, prov, **extra) -> ConstructionReport:
     return ConstructionReport(out, _Provenance(prov), **extra)
 
 
-def _prolong_one(square: LatinSquare, obj, corner: int,
-                 kind: str) -> ConstructionReport:
-    """Project one parameter object and write `corner` at (n+1, n+1)."""
-    grid, prov, [(r, c)] = _project(square, [obj], None, None, None)
-    grid[r - 1][c - 1] = corner
-    prov[r - 1][c - 1] = CellOrigin(kind, 1)
-    return _finish(grid, prov)
+def _prolong_one(square: LatinSquare, obj, origins=None, step: int = 1,
+                 **extra) -> ConstructionReport:
+    """Project one parameter object as `step` over the input's `origins`
+    (see _project) and write at (n+1, n+1) the one symbol of 1..n+1 its
+    new column lacks: a border_fill when no cell is kept, otherwise a
+    diagonal_seed."""
+    n = square.order
+    grid, prov, _ = _project(square, [obj], None, None, None,
+                             origins=origins, step=step)
+    [grid[n][n]] = set(range(1, n + 2)).difference(row[n] for row in grid[:n])
+    prov[n][n] = CellOrigin("border_fill" if obj[2] is None else "diagonal_seed", step)
+    return _finish(grid, prov, **extra)
 
 
 def _excepted_row(t: Transversal, cell, where: str) -> int:
@@ -291,8 +303,7 @@ def prolong_bruck(square, transversal) -> ConstructionReport:
     """
     square = _as_square(square)
     t = _as_transversal(square, transversal)
-    return _prolong_one(square, (t.cols, t.values, None), square.order + 1,
-                        "border_fill")
+    return _prolong_one(square, (t.cols, t.values, None))
 
 
 def prolong_disjoint(square, transversals, fill=None, col_assign=None,
@@ -346,8 +357,7 @@ def prolong_belyavskaya(square, transversal, excepted) -> ConstructionReport:
     square = _as_square(square)
     t = _as_transversal(square, transversal)
     x0 = _excepted_row(t, excepted, "the transversal")
-    return _prolong_one(square, (t.cols, t.values, x0), t.values[x0 - 1],
-                        "diagonal_seed")
+    return _prolong_one(square, (t.cols, t.values, x0))
 
 
 def prolong_belyavskaya_gen(square, pairs, fill=None, col_assign=None,
@@ -398,8 +408,7 @@ def prolong_dd(square, mapping, kept_x: int | None = None) -> ConstructionReport
     """
     square = _as_square(square)
     rec = _as_quasicomplete(square, mapping)
-    return _prolong_one(square, (rec.sigma, rec.sigma_bar, _kept_row(rec, kept_x)),
-                        rec.special, "diagonal_seed")
+    return _prolong_one(square, (rec.sigma, rec.sigma_bar, _kept_row(rec, kept_x)))
 
 
 def prolong_dd_gen(square, pairs, fill=None, col_assign=None, row_assign=None,
@@ -433,16 +442,16 @@ def prolong_dd_gen(square, pairs, fill=None, col_assign=None, row_assign=None,
 
 def two_step(square, t1, t2, first: str = "bruck", excepted=None,
              kept_choice: int | None = None) -> ConstructionReport:
-    """Order n+2 by a single-transversal step followed by a mapping step.
+    """Order n+2 by two passes of the single-step kernel.
 
-    Applies `first` ("bruck", or "belyavskaya" with its excepted cell)
-    to (square, t1), then extends t2's columns to a permutation sigma2
-    of 1..n+1 by sigma2(n+1) = n+1 and classifies it against the
-    intermediate square.  Because t1 and t2 are disjoint, sigma2 is
-    complete after a bruck first step (second step: prolong_bruck) and
-    quasicomplete after a belyavskaya one (second step: prolong_dd with
-    kept_choice, default n+1).  The report's provenance labels first-
-    step cells with step 1 and second-step cells with step 2, and its
+    Step 1 is `first` on (square, t1): a Bruck step, or a Belyavskaya
+    step keeping the excepted cell.  Step 2 extends t2's columns to a
+    permutation sigma2 of 1..n+1 by sigma2(n+1) = n+1 and classifies it
+    against the intermediate square.  Because t1 and t2 are disjoint,
+    sigma2 is complete after a Bruck step 1 (step 2: a Bruck step) and
+    quasicomplete after a Belyavskaya one (step 2: a DD step keeping row
+    kept_choice, default n+1).  A cell step 2 leaves unchanged keeps its
+    step-1 origin; step 2's own cells are labelled step 2.  The report's
     `intermediate` field carries sigma2's classification record.
     excepted and kept_choice apply only to a belyavskaya first step;
     passing either with first="bruck" raises DomainError.
@@ -457,36 +466,25 @@ def two_step(square, t1, t2, first: str = "bruck", excepted=None,
         for name, value in (("excepted", excepted), ("kept_choice", kept_choice)):
             if value is not None:
                 raise DomainError(f"{name} applies only to a belyavskaya first step")
-        rep1 = prolong_bruck(square, ta)
+        x0 = None
     elif first == "belyavskaya":
         if excepted is None:
             raise DomainError("a belyavskaya first step needs an excepted cell")
-        rep1 = prolong_belyavskaya(square, ta, excepted)
+        x0 = _excepted_row(ta, excepted, "the transversal")
     else:
         raise DomainError(f"first step must be bruck or belyavskaya, got {first!r}")
+    rep1 = _prolong_one(square, (ta.cols, ta.values, x0))
 
-    qp = rep1.output
-    sigma2 = tb.cols + (n + 1,)
-    rec2 = conjugated_mapping(qp, sigma2)
+    rec2 = conjugated_mapping(rep1.output, tb.cols + (n + 1,))
     if rec2.kind == "complete":
-        rep2 = prolong_bruck(qp, sigma2)
+        x2 = None
     elif rec2.kind == "quasicomplete":
-        kept = kept_choice if kept_choice is not None else n + 1
-        rep2 = prolong_dd(qp, rec2, kept)
+        x2 = _kept_row(rec2, kept_choice if kept_choice is not None else n + 1)
     else:  # impossible for disjoint transversals
         raise LatinError("two-step invariant violated: sigma2 is neither "
                          "complete nor quasicomplete")
-
-    # Row by row: a cell the second step left unchanged keeps its first-
-    # step origin; the second step's own origins are relabelled step 2.
-    first, second = rep1.provenance._rows, rep2.provenance._rows
-    step2 = {o: CellOrigin(o.kind, 2 if o.step is not None else None)
-             for o in set(chain.from_iterable(second))}
-    prov = _Provenance(
-        [first[r][c] if o.kind == "unchanged" else step2[o]
-         for c, o in enumerate(row)]
-        for r, row in enumerate(second))
-    return ConstructionReport(rep2.output, prov, intermediate=rec2)
+    return _prolong_one(rep1.output, (rec2.sigma, rec2.sigma_bar, x2),
+                        rep1.provenance._rows, step=2, intermediate=rec2)
 
 
 def _contract(square, deleted: int, corner: bool) -> tuple[LatinSquare, list[int]]:
