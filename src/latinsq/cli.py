@@ -158,14 +158,12 @@ def _load_full(path: str) -> core.LatinSquare:
 
 
 def _integer(text: str) -> int:
-    """An integer token of the LSQ format (see core._INTEGER) as an int;
+    """An integer token of the LSQ format (see core._int_token) as an int;
     int() alone would also take "+3", "1_0" and "３"."""
-    if core._INTEGER.fullmatch(text):
-        try:
-            return int(text)
-        except ValueError:  # more digits than int() converts
-            pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    value = core._int_token(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
 
 
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:

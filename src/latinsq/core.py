@@ -417,6 +417,17 @@ _INTEGER = re.compile(r"-?[0-9]+")
 _CELL_CHARS = re.compile(r"[-.0-9]*")
 
 
+def _int_token(token: str) -> int | None:
+    """An LSQ integer token as an int; None when `token` is not one or
+    has more digits than int() converts."""
+    if _INTEGER.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    return None
+
+
 def _cells(lineno: int, tokens: list[str]) -> tuple[int | None, ...]:
     """One grid row's tokens as integers, None for '.'."""
     if _CELL_CHARS.fullmatch("".join(tokens)):
@@ -424,7 +435,7 @@ def _cells(lineno: int, tokens: list[str]) -> tuple[int | None, ...]:
             return tuple([None if t == "." else int(t) for t in tokens])
         except ValueError:
             pass
-    bad = next(t for t in tokens if t != "." and not _INTEGER.fullmatch(t))
+    bad = next(t for t in tokens if t != "." and _int_token(t) is None)
     raise GridError(f"line {lineno}: bad token {bad!r}")
 
 
@@ -447,9 +458,9 @@ def parse_lsq_grid(text: str) -> tuple[tuple[int | None, ...], ...]:
     lineno, tokens = significant[0]
     if len(tokens) != 1:
         raise GridError(f"line {lineno}: expected a single order, got {len(tokens)} tokens")
-    if not _INTEGER.fullmatch(tokens[0]):
+    n = _int_token(tokens[0])
+    if n is None:
         raise GridError(f"line {lineno}: bad token {tokens[0]!r}")
-    n = int(tokens[0])
     if n < 1:
         raise GridError(f"line {lineno}: order must be positive, got {n}")
     if len(significant) - 1 != n:

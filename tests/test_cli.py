@@ -60,6 +60,11 @@ class TestVerify:
         assert "symbol 0 out of range" in out and "symbol -1 out of range" in out
         code, _, err = run_cli(capsys, "verify", write(tmp_path, "2\n+1 2\n2 1\n"))
         assert (code, err) == (2, "error: line 2: bad token '+1'\n")
+        huge = "1" * 5000
+        for text, lineno in ((f"{huge}\n1 2\n2 1\n", 1), (f"2\n1 2\n2 {huge}\n", 3)):
+            code, out, err = run_cli(capsys, "verify", write(tmp_path, text))
+            assert (code, out) == (2, "")
+            assert err == f"error: line {lineno}: bad token {huge!r}\n"
 
     def test_undecodable_byte_is_a_bad_token(self, capsys, tmp_path):
         path = tmp_path / "square.lsq"
@@ -438,6 +443,28 @@ def test_negative_limit_rejected(capsys, tmp_path, argv):
     assert err == f"error: --limit must be 0 (no limit) or positive, got {argv[-1]}\n"
 
 
+@pytest.mark.parametrize("text, argv, message", [
+    (QC4_TEXT, ("prolong", "FILE", "--method", "gen-dd"),
+     "--sigma must be given at least once for this method"),
+    (CYC3_TEXT, ("prolong", "FILE", "--method", "belyavskaya",
+                 "--transversal", "3 1 2", "--except", "4"),
+     "--except row 4 out of range 1..3"),
+    (CYC3_TEXT, ("prolong", "FILE", "--method", "gen-belyavskaya",
+                 "--transversal", "1 2 3", "--transversal", "2 3 1", "--except", "1"),
+     "need exactly one --except per --transversal"),
+    (QC4_TEXT, ("prolong", "FILE", "--method", "gen-dd", "--sigma", "1 3 2 4",
+                "--sigma", "2 1 4 3", "--keep", "4"),
+     "need exactly one --keep per --sigma, or none at all"),
+    (CYC3_TEXT, ("prolong", "FILE", "--method", "two-step", "--t1", "3 1 2"),
+     "--t1 and --t2 are required for --method two-step"),
+], ids=["gen-dd-no-sigma", "except-out-of-range", "except-per-transversal",
+        "keep-per-sigma", "two-step-no-t2"])
+def test_prolong_parameter_errors(capsys, tmp_path, text, argv, message):
+    path = write(tmp_path, text)
+    code, out, err = run_cli(capsys, *[path if a == "FILE" else a for a in argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # Each case: file contents (None = no file), argv with FILE and TOKEN
 # placeholders, a token the command accepts, and one int() reads but the
 # LSQ format does not.
@@ -461,6 +488,7 @@ DISJOINT1 = ("prolong", "FILE", "--method", "disjoint", "--transversal", "1 2 3"
                  "--t2", "TOKEN"), "1 2 3", "1 2 0_3"),
     (None, ("gen", "--order", "TOKEN"), "10", "1_0"),
     (None, ("gen", "--order", "3", "--seed", "TOKEN"), "1", "+1"),
+    (None, ("gen", "--order", "3", "--seed", "TOKEN"), "1", "1" * 5000),
     (CYC3_TEXT, ("transversals", "FILE", "--list", "--limit", "TOKEN"),
      "2", "\uff12"),
     (CYC3_TEXT, ("complete", "FILE", "--limit", "TOKEN"), "1", "+1"),
@@ -472,7 +500,7 @@ DISJOINT1 = ("prolong", "FILE", "--method", "disjoint", "--transversal", "1 2 3"
                 "--keep", "TOKEN"), "4", "0_4"),
     (CYC3_TEXT, ("transversals", "FILE", "--disjoint", "TOKEN"), "2", "+2"),
 ], ids=["transversal", "transversal-sign", "sigma", "fill", "cols", "rows",
-        "t1", "t2", "order", "seed", "list-limit", "complete-limit", "deleted",
+        "t1", "t2", "order", "seed", "seed-digits", "list-limit", "complete-limit", "deleted",
         "except", "keep", "disjoint"])
 def test_integer_flags_take_only_lsq_tokens(capsys, tmp_path, text, argv,
                                             good, bad):

@@ -148,6 +148,10 @@ class TestDisjoint:
         with pytest.raises(DomainError, match="share cell"):
             prolong_disjoint(cyclic_square(5), [(1, 2, 3, 4, 5), (1, 3, 5, 2, 4)])
 
+    def test_rejects_no_transversals(self):
+        with pytest.raises(DomainError, match="need between 1 and 3 parameter objects"):
+            prolong_disjoint(CYC3, [])
+
     def test_rejects_bad_bottom(self):
         pair = [grids.T_YELLOW, grids.T_GREEN]
         with pytest.raises(DomainError):

@@ -85,6 +85,10 @@ class TestValidate:
         assert validate([[1, 2], [2, 1]]).ok
         assert validate([[1]]).ok
 
+    def test_rejects_non_grid(self):
+        with pytest.raises(GridError, match="not a grid"):
+            validate(5)
+
     def test_duplicates_are_reported_per_line(self):
         report = validate([[1, 2], [1, 2]])
         found = {(i.kind, i.index, i.symbol) for i in report.issues}
@@ -353,7 +357,8 @@ class TestLsqFormat:
             parse_lsq("2\n1 2\n2 1 1\n")
         with pytest.raises(GridError, match="line 3"):
             parse_lsq("2\n1 2\nq 1\n")
-        for bad in ("+2", "２", "2_0", "2.0", "-", "--1"):
+        # "1" * 5000 has more digits than int() converts from a string.
+        for bad in ("+2", "２", "2_0", "2.0", "-", "--1", "1" * 5000):
             token = re.escape(repr(bad))
             with pytest.raises(GridError, match=f"line 1: bad token {token}"):
                 parse_lsq(f"{bad}\n1 2\n2 1\n")
