@@ -420,12 +420,10 @@ _CELL_CHARS = re.compile(r"[-.0-9]*")
 def _int_token(token: str) -> int | None:
     """An LSQ integer token as an int; None when `token` is not one or
     has more digits than int() converts."""
-    if _INTEGER.fullmatch(token):
-        try:
-            return int(token)
-        except ValueError:
-            pass
-    return None
+    try:
+        return int(token) if _INTEGER.fullmatch(token) else None
+    except ValueError:
+        return None
 
 
 def _cells(lineno: int, tokens: list[str]) -> tuple[int | None, ...]:
