@@ -500,8 +500,8 @@ DISJOINT1 = ("prolong", "FILE", "--method", "disjoint", "--transversal", "1 2 3"
                 "--keep", "TOKEN"), "4", "0_4"),
     (CYC3_TEXT, ("transversals", "FILE", "--disjoint", "TOKEN"), "2", "+2"),
 ], ids=["transversal", "transversal-sign", "sigma", "fill", "cols", "rows",
-        "t1", "t2", "order", "seed", "seed-digits", "list-limit", "complete-limit", "deleted",
-        "except", "keep", "disjoint"])
+        "t1", "t2", "order", "seed", "seed-digits", "list-limit",
+        "complete-limit", "deleted", "except", "keep", "disjoint"])
 def test_integer_flags_take_only_lsq_tokens(capsys, tmp_path, text, argv,
                                             good, bad):
     path = write(tmp_path, text) if text is not None else None

@@ -382,7 +382,7 @@ def reference_two_step(square, t1, t2, first, excepted=None, kept_choice=None):
         rep1 = prolong_bruck(square, t1)
     else:
         rep1 = prolong_belyavskaya(square, t1, excepted)
-    sigma2 = tuple(t2.cols) + (n + 1,)
+    sigma2 = t2.cols + (n + 1,)
     rec2 = conjugated_mapping(rep1.output, sigma2)
     if rec2.kind == "complete":
         rep2 = prolong_bruck(rep1.output, sigma2)
