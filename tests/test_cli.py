@@ -301,18 +301,60 @@ class TestProlong:
         assert code == 2
         assert "gen-dd" in err
 
-    @pytest.mark.parametrize("argv", [
+    # The methods that take each prolong flag, in --method choice order.
+    TAKERS = {
+        "--transversal": "bruck, disjoint, belyavskaya, gen-belyavskaya",
+        "--sigma": "dd, gen-dd",
+        "--except": "belyavskaya, gen-belyavskaya, two-step",
+        "--keep": "dd, gen-dd, two-step",
+        "--fill": "disjoint, gen-belyavskaya, gen-dd",
+        "--cols": "disjoint, gen-belyavskaya, gen-dd",
+        "--rows": "disjoint, gen-belyavskaya, gen-dd",
+        "--bottom": "disjoint",
+        "--t1": "two-step",
+        "--t2": "two-step",
+        "--first": "two-step",
+        "--limit": "gen-belyavskaya, gen-dd",
+        "--no-diag-seed": "gen-dd",
+    }
+
+    # Each case ends with the one flag its method does not take.
+    IGNORED = [
         ("--method", "bruck", "--transversal", "3 1 2", "--limit", "7"),
         ("--method", "bruck", "--transversal", "3 1 2", "--first", "belyavskaya"),
         ("--method", "disjoint", "--transversal", "3 1 2", "--limit", "0"),
         ("--method", "gen-belyavskaya", "--transversal", "1 2 3", "--except", "1",
          "--no-diag-seed"),
-    ])
+        ("--method", "dd", "--sigma", "1 2 3", "--transversal", "3 1 2"),
+        ("--method", "bruck", "--transversal", "3 1 2", "--sigma", "1 2 3"),
+        ("--method", "disjoint", "--transversal", "3 1 2", "--except", "1"),
+        ("--method", "bruck", "--transversal", "3 1 2", "--keep", "1"),
+        ("--method", "belyavskaya", "--transversal", "3 1 2", "--except", "1",
+         "--fill", "4"),
+        ("--method", "bruck", "--transversal", "3 1 2", "--cols", "1"),
+        ("--method", "dd", "--sigma", "1 2 3", "--rows", "1"),
+        ("--method", "gen-belyavskaya", "--transversal", "1 2 3", "--except", "1",
+         "--bottom", "bottom.lsq"),
+        ("--method", "bruck", "--transversal", "3 1 2", "--t1", "3 1 2"),
+        ("--method", "dd", "--sigma", "1 2 3", "--t2", "1 2 3"),
+        ("--method", "gen-dd", "--sigma", "1 2 3", "--first", "bruck"),
+        ("--method", "two-step", "--t1", "3 1 2", "--t2", "1 2 3",
+         "--no-diag-seed"),
+    ]
+
+    @pytest.mark.parametrize("argv", IGNORED)
     def test_ignored_flags_rejected(self, capsys, tmp_path, argv):
         path = write(tmp_path, CYC3_TEXT)
         code, out, err = run_cli(capsys, "prolong", path, *argv)
+        flag = [a for a in argv if a.startswith("--")][-1]
+        method = argv[argv.index("--method") + 1]
         assert (code, out) == (2, "")
-        assert "does not apply to --method" in err
+        assert err == (f"error: {flag} does not apply to --method {method} "
+                       f"(only to {self.TAKERS[flag]})\n")
+
+    def test_ignored_flags_cover_every_prolong_flag(self):
+        last = {[a for a in argv if a.startswith("--")][-1] for argv in self.IGNORED}
+        assert last == set(self.TAKERS)
 
     @pytest.mark.parametrize("flags", [("--keep", "2"),
                                        ("--first", "bruck", "--keep", "2"),
