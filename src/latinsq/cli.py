@@ -14,7 +14,9 @@ All squares travel in the LSQ text format (see latinsq.core); FILE may
 be '-' for standard input.  Transversals and mappings on the command
 line are one-line column permutations such as "3 1 2"; excepted cells
 are named by row only (`--except ROW`, the column is implied by the
-transversal), as are kept rows (`--keep ROW`).
+transversal), as are kept rows (`--keep ROW`).  argparse checks every
+integer and permutation flag: a token that is not an LSQ integer gets a
+usage line and exit code 2 before any square is read.
 
 Exit codes: 0 success; 1 `verify` found an invalid square; 2 usage,
 parse, or parameter errors; 3 infeasible request (no completion or
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from . import constructions, core, mappings
 from .core import DomainError, GridError, InfeasibleError
@@ -101,33 +104,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True,
                    choices=["bruck", "disjoint", "belyavskaya", "gen-belyavskaya",
                             "dd", "gen-dd", "two-step"])
-    p.add_argument("--transversal", action="append", metavar="PERM",
-                   help="transversal columns 'c1 c2 ... cn' (repeatable)")
-    p.add_argument("--sigma", action="append", metavar="PERM",
-                   help="mapping 's1 s2 ... sn' (repeatable)")
-    p.add_argument("--except", dest="excepts", action="append", type=_integer,
-                   metavar="ROW", help="row of the cell exempted from projection")
-    p.add_argument("--keep", dest="keeps", action="append", type=_integer,
-                   metavar="ROW", help="kept row of a quasicomplete mapping")
-    p.add_argument("--fill", metavar="LIST",
-                   help="new symbol written into each transversal's vacated cells")
-    p.add_argument("--cols", metavar="PERM",
-                   help="new-column assignment (permutation of 1..k)")
-    p.add_argument("--rows", metavar="PERM",
-                   help="new-row assignment (permutation of 1..k)")
-    p.add_argument("--bottom", metavar="FILE",
-                   help="order-k LSQ square for the bottom block (symbols 1..k)")
-    p.add_argument("--t1", metavar="PERM", help="first transversal (two-step)")
-    p.add_argument("--t2", metavar="PERM", help="second transversal (two-step)")
-    p.add_argument("--first", choices=["bruck", "belyavskaya"],
-                   help="first step of two-step (default bruck)")
-    p.add_argument("--limit", type=_integer, metavar="N",
-                   help="completions per generalized construction "
-                        "(default 1; 0 = no limit)")
-    p.add_argument("--no-diag-seed", dest="diag_seed", action="store_false",
-                   default=None,
-                   help="leave the gen-dd diagonal to the completion search")
-    p.set_defaults(func=_cmd_prolong)
+    params = [  # every flag _PROLONG_ALLOWED hands out, checked in this order
+        p.add_argument("--transversal", action="append", type=_integers,
+                       metavar="PERM",
+                       help="transversal columns 'c1 c2 ... cn' (repeatable)"),
+        p.add_argument("--sigma", action="append", type=_integers, metavar="PERM",
+                       help="mapping 's1 s2 ... sn' (repeatable)"),
+        p.add_argument("--except", dest="excepts", action="append", type=_integer,
+                       metavar="ROW", help="row of the cell exempted from projection"),
+        p.add_argument("--keep", dest="keeps", action="append", type=_integer,
+                       metavar="ROW", help="kept row of a quasicomplete mapping"),
+        p.add_argument("--fill", type=_integers, metavar="LIST",
+                       help="new symbol written into each transversal's vacated cells"),
+        p.add_argument("--cols", type=_integers, metavar="PERM",
+                       help="new-column assignment (permutation of 1..k)"),
+        p.add_argument("--rows", type=_integers, metavar="PERM",
+                       help="new-row assignment (permutation of 1..k)"),
+        p.add_argument("--bottom", metavar="FILE",
+                       help="order-k LSQ square for the bottom block (symbols 1..k)"),
+        p.add_argument("--t1", type=_integers, metavar="PERM",
+                       help="first transversal (two-step)"),
+        p.add_argument("--t2", type=_integers, metavar="PERM",
+                       help="second transversal (two-step)"),
+        p.add_argument("--first", choices=["bruck", "belyavskaya"],
+                       help="first step of two-step (default bruck)"),
+        p.add_argument("--limit", type=_integer, metavar="N",
+                       help="completions per generalized construction "
+                            "(default 1; 0 = no limit)"),
+        p.add_argument("--no-diag-seed", dest="diag_seed", action="store_false",
+                       default=None,
+                       help="leave the gen-dd diagonal to the completion search"),
+    ]
+    p.set_defaults(func=partial(_cmd_prolong, flags={
+        a.dest: a.option_strings[0] for a in params}))
 
     p = sub.add_parser("contract", help="run a contraction (inverse prolongation)")
     p.add_argument("file")
@@ -166,12 +175,13 @@ def _integer(text: str) -> int:
     return value
 
 
-def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(_integer(tok) for tok in text.split())
-    except argparse.ArgumentTypeError:
-        raise DomainError(f"{flag}: expected whitespace-separated integers, "
-                          f"got {text!r}") from None
+def _integers(text: str) -> tuple[int, ...]:
+    """Whitespace-separated integer tokens, each by the rule of _integer."""
+    values = tuple(map(core._int_token, text.split()))
+    if None in values:
+        raise argparse.ArgumentTypeError(
+            f"expected whitespace-separated integers, got {text!r}")
+    return values
 
 
 def _one(values, flag: str):
@@ -184,10 +194,6 @@ def _many(values, flag: str):
     if not values:
         raise DomainError(f"{flag} must be given at least once for this method")
     return values
-
-
-def _perms(values, flag: str) -> list[tuple[int, ...]]:
-    return [_parse_ints(s, flag) for s in _many(values, flag)]
 
 
 def _limit(value: int | None):
@@ -270,13 +276,6 @@ def _cmd_qcmappings(args) -> int:
         lambda rec: _fmt_perm(rec.sigma))
 
 
-_PROLONG_FLAGS = {
-    "transversal": "--transversal", "sigma": "--sigma", "excepts": "--except",
-    "keeps": "--keep", "fill": "--fill", "cols": "--cols", "rows": "--rows",
-    "bottom": "--bottom", "t1": "--t1", "t2": "--t2", "first": "--first",
-    "limit": "--limit", "diag_seed": "--no-diag-seed",
-}
-
 _PROLONG_ALLOWED = {
     "bruck": {"transversal"},
     "disjoint": {"transversal", "fill", "cols", "rows", "bottom"},
@@ -298,17 +297,15 @@ def _excepted_cell(sq, cols, row):
 
 def _assignments(args) -> dict:
     """The fill/col_assign/row_assign keywords from --fill/--cols/--rows."""
-    return {kw: None if text is None else _parse_ints(text, flag)
-            for kw, text, flag in (("fill", args.fill, "--fill"),
-                                   ("col_assign", args.cols, "--cols"),
-                                   ("row_assign", args.rows, "--rows"))}
+    return {"fill": args.fill, "col_assign": args.cols, "row_assign": args.rows}
 
 
-def _cmd_prolong(args) -> int:
+def _cmd_prolong(args, flags: dict[str, str]) -> int:
+    """Run one prolongation; flags maps each parameter's dest to its flag."""
     sq = _load_full(args.file)
     method = args.method
     allowed = _PROLONG_ALLOWED[method]
-    for attr, flag in _PROLONG_FLAGS.items():
+    for attr, flag in flags.items():
         if attr not in allowed and getattr(args, attr) is not None:
             takers = ", ".join(m for m, flags in _PROLONG_ALLOWED.items()
                                if attr in flags)
@@ -317,7 +314,7 @@ def _cmd_prolong(args) -> int:
     limit = 1 if args.limit is None else _limit(args.limit)
 
     if method == "bruck":
-        cols = _parse_ints(_one(args.transversal, "--transversal"), "--transversal")
+        cols = _one(args.transversal, "--transversal")
         return _emit_reports([constructions.prolong_bruck(sq, cols)])
 
     if method == "disjoint":
@@ -326,17 +323,17 @@ def _cmd_prolong(args) -> int:
             bottom = tuple(tuple(v + sq.order for v in row)
                            for row in _load_full(args.bottom).rows)
         rep = constructions.prolong_disjoint(
-            sq, _perms(args.transversal, "--transversal"), bottom=bottom,
+            sq, _many(args.transversal, "--transversal"), bottom=bottom,
             **_assignments(args))
         return _emit_reports([rep])
 
     if method == "belyavskaya":
-        cols = _parse_ints(_one(args.transversal, "--transversal"), "--transversal")
+        cols = _one(args.transversal, "--transversal")
         t, cell = _excepted_cell(sq, cols, _one(args.excepts, "--except"))
         return _emit_reports([constructions.prolong_belyavskaya(sq, t, cell)])
 
     if method == "gen-belyavskaya":
-        perms = _perms(args.transversal, "--transversal")
+        perms = _many(args.transversal, "--transversal")
         rows = _many(args.excepts, "--except")
         if len(rows) != len(perms):
             raise DomainError("need exactly one --except per --transversal")
@@ -345,12 +342,12 @@ def _cmd_prolong(args) -> int:
             sq, pairs, limit=limit, **_assignments(args)))
 
     if method == "dd":
-        sigma = _parse_ints(_one(args.sigma, "--sigma"), "--sigma")
+        sigma = _one(args.sigma, "--sigma")
         kept = _one(args.keeps, "--keep") if args.keeps is not None else None
         return _emit_reports([constructions.prolong_dd(sq, sigma, kept)])
 
     if method == "gen-dd":
-        sigmas = _perms(args.sigma, "--sigma")
+        sigmas = _many(args.sigma, "--sigma")
         keeps = args.keeps or [None] * len(sigmas)
         if len(keeps) != len(sigmas):
             raise DomainError("need exactly one --keep per --sigma, or none at all")
@@ -361,15 +358,13 @@ def _cmd_prolong(args) -> int:
     # two-step
     if args.t1 is None or args.t2 is None:
         raise DomainError("--t1 and --t2 are required for --method two-step")
-    c1 = _parse_ints(args.t1, "--t1")
-    c2 = _parse_ints(args.t2, "--t2")
     excepted = kept = None
     if args.first == "belyavskaya":
-        _, excepted = _excepted_cell(sq, c1, _one(args.excepts, "--except"))
+        _, excepted = _excepted_cell(sq, args.t1, _one(args.excepts, "--except"))
         kept = _one(args.keeps, "--keep") if args.keeps is not None else None
     elif args.excepts is not None or args.keeps is not None:
         raise DomainError("--except and --keep require --first belyavskaya")
-    rep = constructions.two_step(sq, c1, c2, first=args.first or "bruck",
+    rep = constructions.two_step(sq, args.t1, args.t2, first=args.first or "bruck",
                                  excepted=excepted, kept_choice=kept)
     return _emit_reports([rep])
 

@@ -555,3 +555,4 @@ def test_integer_flags_take_only_lsq_tokens(capsys, tmp_path, text, argv,
     code, out, err = run_cli(capsys, *fill(bad))
     assert (code, out) == (2, "")
     assert repr(bad) in err
+    assert f"argument {argv[argv.index('TOKEN') - 1]}: " in err
