@@ -82,6 +82,11 @@ class ValidationReport:
 _CLEAN = ValidationReport(())
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: True and False are no symbol, index or count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate(grid) -> ValidationReport:
     """Check a raw grid against the Latin square invariants.
 
@@ -121,8 +126,7 @@ def validate(grid) -> ValidationReport:
             if v is None:
                 empties += 1
                 continue
-            # bool is a subclass of int, but True and False are not symbols.
-            symbol = v if isinstance(v, int) and not isinstance(v, bool) else None
+            symbol = v if _is_int(v) else None
             if symbol is None or not 1 <= symbol <= n:
                 issues.append(ValidationIssue(
                     "symbol", r, symbol,
@@ -133,8 +137,8 @@ def validate(grid) -> ValidationReport:
             "empty", 0, None, f"{empties} empty cell{plural}"))
     if any(i.kind == "symbol" for i in issues):
         # The cells reported above take no part in the duplicate scan.
-        rows = [[v if isinstance(v, int) and not isinstance(v, bool)
-                 and 1 <= v <= n else None for v in row] for row in rows]
+        rows = [[v if _is_int(v) and 1 <= v <= n else None for v in row]
+                for row in rows]
     return ValidationReport(tuple(issues + _duplicates(rows)))
 
 
@@ -374,8 +378,10 @@ def permuted(square: LatinSquare,
     """Reorder rows and/or columns: new cell (i, j) = old (row_perm[i], col_perm[j]).
 
     Lets a construction's appended last rows/columns be moved anywhere
-    afterwards.  Permutations are 1-based; None means identity.
+    afterwards.  Permutations are 1-based; None means identity.  The
+    square may also be a plain grid that forms a Latin square.
     """
+    square = _as_square(square)
     n = square.order
     identity = list(range(1, n + 1))
     rp = identity if row_perm is None else _check_perm(row_perm, n, "row permutation")
@@ -386,13 +392,17 @@ def permuted(square: LatinSquare,
 
 
 def _check_limit(limit: int | None) -> None:
-    if limit is not None and limit < 1:
+    if limit is None:
+        return
+    if not _is_int(limit):
+        raise DomainError(f"limit must be an int or None, got {limit!r}")
+    if limit < 1:
         raise DomainError(f"limit must be positive, got {limit}")
 
 
 def _check_perm(perm, n: int, what: str) -> list[int]:
     perm = list(perm)
-    if sorted(perm) != list(range(1, n + 1)):
+    if not all(map(_is_int, perm)) or sorted(perm) != list(range(1, n + 1)):
         raise DomainError(f"{what} must be a permutation of 1..{n}, got {perm}")
     return perm
 

@@ -26,6 +26,9 @@ driver builds disjoint families member by member.  With a limit it
 searches each member with the cells of the earlier members masked out,
 so it stops at the first families; without one it draws the members
 from a single list of every transversal.
+
+Every function takes a LatinSquare or a plain grid that forms one; any
+other grid raises GridError.
 """
 
 from __future__ import annotations
@@ -35,7 +38,14 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .core import DomainError, LatinSquare, _check_limit, _check_perm
+from .core import (
+    DomainError,
+    LatinSquare,
+    _as_square,
+    _check_limit,
+    _check_perm,
+    _is_int,
+)
 
 
 @dataclass(frozen=True)
@@ -79,6 +89,7 @@ def transversal_of(square: LatinSquare, cols: Sequence[int]) -> Transversal:
     Raises DomainError if cols is not a permutation or the chosen cells
     repeat a symbol.
     """
+    square = _as_square(square)
     n = square.order
     cols = tuple(_check_perm(cols, n, "transversal"))
     values = tuple(square.rows[x][cols[x] - 1] for x in range(n))
@@ -96,6 +107,7 @@ def conjugated_mapping(square: LatinSquare,
     ("complete" / "quasicomplete" / "neither") plus the special symbol
     and duplicate pair when quasicomplete.
     """
+    square = _as_square(square)
     sigma = tuple(_check_perm(sigma, square.order, "sigma"))
     return _classified(square.rows, sigma)
 
@@ -173,10 +185,10 @@ def _transversal(rows, picked: list[int]) -> Transversal:
 
 def iter_transversals(square: LatinSquare) -> Iterator[Transversal]:
     """Yield every transversal, in lexicographic column order."""
-    n = square.order
-    rows = square.rows
-    for picked in _transversal_cols(rows, [(1 << n) - 1] * n):
-        yield _transversal(rows, picked)
+    rows = _as_square(square).rows
+    n = len(rows)
+    return (_transversal(rows, picked)
+            for picked in _transversal_cols(rows, [(1 << n) - 1] * n))
 
 
 def find_transversals(square: LatinSquare,
@@ -204,9 +216,10 @@ def find_disjoint_transversals(square: LatinSquare, k: int,
     takes the members from a single list of every transversal, which is
     faster when every family is wanted.
     """
+    square = _as_square(square)
     n = square.order
-    if not 1 <= k <= n:
-        raise DomainError(f"family size must be in 1..{n}, got {k}")
+    if not (_is_int(k) and 1 <= k <= n):
+        raise DomainError(f"family size must be in 1..{n}, got {k!r}")
     _check_limit(limit)
     return list(islice(_families(square, k, limit is None), limit))
 
@@ -276,10 +289,10 @@ def iter_quasicomplete_mappings(square: LatinSquare) -> Iterator[MappingRecord]:
     branch dies as soon as a value of sigma_bar would appear three times
     or a second value twice; only sigmas that used the repeat are kept.
     """
-    n = square.order
-    for picked in _transversal_cols(square.rows, [(1 << n) - 1] * n,
-                                    repeat=True):
-        yield _classified(square.rows, tuple([c + 1 for c in picked]))
+    rows = _as_square(square).rows
+    n = len(rows)
+    return (_classified(rows, tuple([c + 1 for c in picked]))
+            for picked in _transversal_cols(rows, [(1 << n) - 1] * n, repeat=True))
 
 
 def find_quasicomplete_mappings(square: LatinSquare,

@@ -109,6 +109,9 @@ class TestBruck:
     def test_rejects_non_transversal(self):
         with pytest.raises(DomainError):
             prolong_bruck(cyclic_square(4), (1, 2, 3, 4))
+        for cols in ([3.0, 1.0, 2.0], [3, True, 2]):
+            with pytest.raises(DomainError, match="must be a permutation of 1..3"):
+                prolong_bruck(CYC3, cols)
 
 
 class TestDisjoint:

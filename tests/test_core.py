@@ -259,6 +259,9 @@ class TestCompletePartial:
     def test_bad_limit(self):
         with pytest.raises(DomainError):
             complete_partial(cyclic_square(3), limit=0)
+        for limit in (1.5, 2.0, True):
+            with pytest.raises(DomainError, match="limit must be an int or None"):
+                complete_partial(cyclic_square(3), limit=limit)
 
     def test_raw_grid_input(self):
         assert len(complete_partial([[1, None], [None, None]])) == 1
@@ -309,6 +312,9 @@ class TestPermuted:
             permuted(cyclic_square(3), row_perm=[])
         with pytest.raises(DomainError):
             permuted(cyclic_square(3), col_perm=())
+        for perm in ([3.0, 1.0, 2.0], [3, True, 2]):
+            with pytest.raises(DomainError, match="must be a permutation of 1..3"):
+                permuted(cyclic_square(3), row_perm=perm)
 
 
 class TestLsqFormat:

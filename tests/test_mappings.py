@@ -7,12 +7,16 @@ import pytest
 import grids
 from latinsq import (
     DomainError,
+    GridError,
     LatinSquare,
     conjugated_mapping,
     cyclic_square,
     find_disjoint_transversals,
     find_quasicomplete_mappings,
     find_transversals,
+    iter_quasicomplete_mappings,
+    iter_transversals,
+    permuted,
     transversal_of,
 )
 
@@ -33,8 +37,9 @@ class TestTransversalOf:
             transversal_of(cyclic_square(4), (1, 2, 3, 4))
 
     def test_rejects_non_permutation(self):
-        with pytest.raises(DomainError):
-            transversal_of(CYC3, (1, 1, 2))
+        for cols in ((1, 1, 2), [3.0, 1.0, 2.0], [3, True, 2], ["3", "1", "2"]):
+            with pytest.raises(DomainError, match="must be a permutation of 1..3"):
+                transversal_of(CYC3, cols)
 
     def test_to_mapping_returns_columns(self):
         t = transversal_of(CYC3, grids.T_BLUE)
@@ -68,8 +73,9 @@ class TestConjugatedMapping:
         assert rec.special is None and rec.duplicate_pair is None
 
     def test_rejects_non_permutation(self):
-        with pytest.raises(DomainError):
-            conjugated_mapping(CYC3, (1, 2, 4))
+        for sigma in ((1, 2, 4), [1.0, 2.0, 3.0], [True, 2, 3]):
+            with pytest.raises(DomainError, match="must be a permutation of 1..3"):
+                conjugated_mapping(CYC3, sigma)
 
 
 class TestFindTransversals:
@@ -154,10 +160,9 @@ class TestDisjointFamilies:
         assert find_disjoint_transversals(cyclic_square(4), 4, limit=1) == []
 
     def test_k_out_of_range(self):
-        with pytest.raises(DomainError):
-            find_disjoint_transversals(CYC3, 0)
-        with pytest.raises(DomainError):
-            find_disjoint_transversals(CYC3, 4)
+        for k in (0, 4, 2.0, True, 1.5):
+            with pytest.raises(DomainError, match="family size must be in 1..3"):
+                find_disjoint_transversals(CYC3, k)
 
 
 class TestQuasicompleteMappings:
@@ -212,4 +217,26 @@ def test_limit_check_is_shared():
                  lambda limit: find_quasicomplete_mappings(QC4, limit=limit)):
         with pytest.raises(DomainError, match="limit must be positive, got -1"):
             find(-1)
+        for limit in (1.5, 2.0, True):
+            with pytest.raises(DomainError, match="limit must be an int or None"):
+                find(limit)
         assert len(find(1)) == 1
+
+
+@pytest.mark.parametrize("square, call", [
+    (CYC3, lambda sq: transversal_of(sq, grids.T_BLUE)),
+    (QC4, lambda sq: conjugated_mapping(sq, (1, 3, 2, 4))),
+    (CYC3, lambda sq: list(iter_transversals(sq))),
+    (CYC3, lambda sq: find_transversals(sq, limit=2)),
+    (CYC3, lambda sq: find_disjoint_transversals(sq, 2)),
+    (QC4, lambda sq: list(iter_quasicomplete_mappings(sq))),
+    (QC4, lambda sq: find_quasicomplete_mappings(sq)),
+    (CYC3, lambda sq: permuted(sq, (3, 1, 2), (2, 3, 1))),
+], ids=["transversal_of", "conjugated_mapping", "iter_transversals",
+        "find_transversals", "find_disjoint_transversals",
+        "iter_quasicomplete_mappings", "find_quasicomplete_mappings", "permuted"])
+def test_plain_grid_input(square, call):
+    grid = [list(row) for row in square.rows]
+    assert call(grid) == call(square)
+    with pytest.raises(GridError):
+        call(grid[:-1] + [grid[0]])
