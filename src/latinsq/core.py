@@ -83,7 +83,7 @@ _CLEAN = ValidationReport(())
 
 
 def _is_int(value) -> bool:
-    """An int that is not a bool: True and False are no symbol, index or count."""
+    """An int that is not a bool: True and False are not symbols or counts."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 

@@ -38,14 +38,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .core import (
-    DomainError,
-    LatinSquare,
-    _as_square,
-    _check_limit,
-    _check_perm,
-    _is_int,
-)
+from .core import (DomainError, LatinSquare, _as_square, _check_limit,
+                   _check_perm, _is_int)
 
 
 @dataclass(frozen=True)

@@ -352,10 +352,6 @@ class TestProlong:
         assert err == (f"error: {flag} does not apply to --method {method} "
                        f"(only to {self.TAKERS[flag]})\n")
 
-    def test_ignored_flags_cover_every_prolong_flag(self):
-        last = {[a for a in argv if a.startswith("--")][-1] for argv in self.IGNORED}
-        assert last == set(self.TAKERS)
-
     @pytest.mark.parametrize("flags", [("--keep", "2"),
                                        ("--first", "bruck", "--keep", "2"),
                                        ("--first", "bruck", "--except", "2")])
