@@ -307,8 +307,8 @@ def _cmd_prolong(args, flags: dict[str, str]) -> int:
     allowed = _PROLONG_ALLOWED[method]
     for attr, flag in flags.items():
         if attr not in allowed and getattr(args, attr) is not None:
-            takers = ", ".join(m for m, flags in _PROLONG_ALLOWED.items()
-                               if attr in flags)
+            takers = ", ".join(m for m, taken in _PROLONG_ALLOWED.items()
+                               if attr in taken)
             raise DomainError(
                 f"{flag} does not apply to --method {method} (only to {takers})")
     limit = 1 if args.limit is None else _limit(args.limit)
