@@ -17,6 +17,7 @@ from latinsq import (
     iter_quasicomplete_mappings,
     iter_transversals,
     permuted,
+    random_square,
     transversal_of,
 )
 
@@ -92,6 +93,14 @@ class TestFindTransversals:
         counts.update(grids.CYCLIC_TRANSVERSAL_ANCHORS)
         for n, want in counts.items():
             assert len(find_transversals(cyclic_square(n))) == want, n
+
+    def test_full_list_equals_row_search(self):
+        # n = 1 has an empty bottom half; even cyclic squares have no
+        # transversals
+        squares = [cyclic_square(n) for n in range(1, 11)]
+        squares += [random_square(n, seed) for n in range(1, 10) for seed in range(3)]
+        for sq in squares:
+            assert find_transversals(sq) == list(iter_transversals(sq)), sq.rows
 
     def test_every_result_is_complete(self):
         sq = cyclic_square(5)
