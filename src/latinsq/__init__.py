@@ -54,6 +54,7 @@ from .mappings import (
     MappingRecord,
     Transversal,
     conjugated_mapping,
+    count_transversals,
     find_disjoint_transversals,
     find_quasicomplete_mappings,
     find_transversals,
@@ -81,6 +82,7 @@ __all__ = [
     "conjugated_mapping",
     "contract_bruck",
     "contract_except",
+    "count_transversals",
     "cyclic_square",
     "feasible_contractions",
     "find_disjoint_transversals",

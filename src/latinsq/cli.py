@@ -236,14 +236,15 @@ def _cmd_complete(args) -> int:
     return _emit_squares(core.complete_partial(grid, limit=limit))
 
 
-def _list_results(args, find, to_line) -> int:
+def _list_results(args, find, to_line, count=None) -> int:
     """Shared count/list logic: counts are exact, lists honor --limit.
 
-    find(limit) returns the first `limit` results (None = all of them).
+    find(limit) returns the first `limit` results (None = all of them);
+    count(), when given, counts them all without building them.
     """
     limit = _limit(args.limit)
     if args.mode == "count":
-        print(len(find(None)))
+        print(count() if count else len(find(None)))
         return 0
     items = find(None if limit is None else limit + 1)
     truncated = limit is not None and len(items) > limit
@@ -261,7 +262,8 @@ def _cmd_transversals(args) -> int:
         return _list_results(
             args,
             lambda cap: mappings.find_transversals(sq, limit=cap),
-            lambda t: _fmt_perm(t.cols))
+            lambda t: _fmt_perm(t.cols),
+            lambda: mappings.count_transversals(sq))
     return _list_results(
         args,
         lambda cap: mappings.find_disjoint_transversals(sq, k, limit=cap),

@@ -144,9 +144,10 @@ class TestComplete:
 
 class TestEnumeration:
     def test_transversal_count(self, capsys, tmp_path):
-        path = write(tmp_path, format_lsq(cyclic_square(4)))
-        code, out, _ = run_cli(capsys, "transversals", path, "--count")
-        assert (code, out) == (0, "0\n")
+        for n, want in ((4, "0\n"), (9, "2025\n")):
+            path = write(tmp_path, format_lsq(cyclic_square(n)))
+            code, out, _ = run_cli(capsys, "transversals", path, "--count")
+            assert (code, out) == (0, want)
 
     def test_count_is_default_mode(self, capsys, tmp_path):
         path = write(tmp_path, CYC3_TEXT)

@@ -10,6 +10,7 @@ from latinsq import (
     GridError,
     LatinSquare,
     conjugated_mapping,
+    count_transversals,
     cyclic_square,
     find_disjoint_transversals,
     find_quasicomplete_mappings,
@@ -100,7 +101,12 @@ class TestFindTransversals:
         squares = [cyclic_square(n) for n in range(1, 11)]
         squares += [random_square(n, seed) for n in range(1, 10) for seed in range(3)]
         for sq in squares:
-            assert find_transversals(sq) == list(iter_transversals(sq)), sq.rows
+            found = list(iter_transversals(sq))
+            assert find_transversals(sq) == found, sq.rows
+            assert count_transversals(sq) == len(found), sq.rows
+
+    def test_count_reaches_order_13_anchor(self):
+        assert count_transversals(cyclic_square(13)) == grids.CYCLIC13_TRANSVERSALS
 
     def test_every_result_is_complete(self):
         sq = cyclic_square(5)
@@ -237,12 +243,13 @@ def test_limit_check_is_shared():
     (QC4, lambda sq: conjugated_mapping(sq, (1, 3, 2, 4))),
     (CYC3, lambda sq: list(iter_transversals(sq))),
     (CYC3, lambda sq: find_transversals(sq, limit=2)),
+    (CYC3, lambda sq: count_transversals(sq)),
     (CYC3, lambda sq: find_disjoint_transversals(sq, 2)),
     (QC4, lambda sq: list(iter_quasicomplete_mappings(sq))),
     (QC4, lambda sq: find_quasicomplete_mappings(sq)),
     (CYC3, lambda sq: permuted(sq, (3, 1, 2), (2, 3, 1))),
 ], ids=["transversal_of", "conjugated_mapping", "iter_transversals",
-        "find_transversals", "find_disjoint_transversals",
+        "find_transversals", "count_transversals", "find_disjoint_transversals",
         "iter_quasicomplete_mappings", "find_quasicomplete_mappings", "permuted"])
 def test_plain_grid_input(square, call):
     grid = [list(row) for row in square.rows]
