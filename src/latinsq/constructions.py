@@ -61,6 +61,7 @@ from .core import (
     PartialLatinSquare,
     _as_square,
     _check_perm,
+    _is_int,
     complete_partial,
     cyclic_square,
 )
@@ -216,7 +217,7 @@ def _project(square: LatinSquare, objs, fill, col_assign, row_assign,
     if not 1 <= k <= n:
         raise DomainError(f"need between 1 and {n} parameter objects, got {k}")
     fill = tuple(range(n + 1, n + k + 1) if fill is None else fill)
-    if sorted(fill) != list(range(n + 1, n + k + 1)):
+    if not all(map(_is_int, fill)) or sorted(fill) != list(range(n + 1, n + k + 1)):
         raise DomainError(
             f"fill must be a bijection onto {n + 1}..{n + k}, got {fill}")
     ca = tuple(_check_perm(col_assign, k, "col_assign")) \
@@ -279,7 +280,8 @@ def _prolong_one(square: LatinSquare, obj, origins=None, step: int = 1,
 def _excepted_row(t: Transversal, cell, where: str) -> int:
     """The row of `cell`, which must lie on the transversal t."""
     x0, y0 = cell
-    if not (1 <= x0 <= t.order and t.cols[x0 - 1] == y0):
+    if not (_is_int(x0) and _is_int(y0) and 1 <= x0 <= t.order
+            and t.cols[x0 - 1] == y0):
         raise DomainError(f"excepted cell {cell} does not lie on {where}")
     return x0
 
@@ -505,8 +507,8 @@ def _contract(square, deleted: int, corner: bool) -> tuple[LatinSquare, list[int
     m = square.order
     if m < 2:
         raise DomainError("cannot contract an order-1 square")
-    if not 1 <= deleted <= m:
-        raise DomainError(f"deleted symbol must be in 1..{m}, got {deleted}")
+    if not (_is_int(deleted) and 1 <= deleted <= m):
+        raise DomainError(f"deleted symbol must be in 1..{m}, got {deleted!r}")
     n = m - 1
     held = square.cell(m, m)
     if corner != (held == deleted):

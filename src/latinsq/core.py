@@ -196,8 +196,8 @@ def _as_square(grid) -> "LatinSquare":
 
 def _cell(rows, row: int, col: int):
     n = len(rows)
-    if not (1 <= row <= n and 1 <= col <= n):
-        raise DomainError(f"cell ({row}, {col}) is outside 1..{n}")
+    if not (_is_int(row) and _is_int(col) and 1 <= row <= n and 1 <= col <= n):
+        raise DomainError(f"cell ({row!r}, {col!r}) is outside 1..{n}")
     return rows[row - 1][col - 1]
 
 
@@ -323,8 +323,8 @@ def complete_partial(partial, limit: int | None = None) -> list[LatinSquare]:
 
 def cyclic_square(order: int) -> LatinSquare:
     """The cyclic-group table: cell (r, c) = ((r + c - 2) mod n) + 1."""
-    if order < 1:
-        raise DomainError(f"order must be positive, got {order}")
+    if not (_is_int(order) and order >= 1):
+        raise DomainError(f"order must be a positive int, got {order!r}")
     return LatinSquare(tuple(
         tuple((r + c) % order + 1 for c in range(order))
         for r in range(order)))
@@ -339,8 +339,8 @@ def random_square(order: int, seed: int) -> LatinSquare:
     extends to a Latin square, so rows never need to be revisited.  The
     distribution is NOT uniform over all Latin squares of the order.
     """
-    if order < 1:
-        raise DomainError(f"order must be positive, got {order}")
+    if not (_is_int(order) and order >= 1):
+        raise DomainError(f"order must be a positive int, got {order!r}")
     rng = random.Random(seed)
     n = order
     full = (1 << n) - 1

@@ -170,6 +170,8 @@ class TestDisjoint:
             prolong_disjoint(CYC3, pair, fill=(4, 4))
         with pytest.raises(DomainError):
             prolong_disjoint(CYC3, pair, fill=(1, 2))
+        with pytest.raises(DomainError, match="fill must be a bijection"):
+            prolong_disjoint(CYC3, pair, fill=(4.0, 5.0))
         with pytest.raises(DomainError):
             prolong_disjoint(CYC3, pair, col_assign=(2, 2))
 
@@ -213,6 +215,8 @@ class TestBelyavskaya:
             prolong_belyavskaya(CYC3, grids.T_BLUE, (2, 2))
         with pytest.raises(DomainError):
             prolong_belyavskaya(CYC3, grids.T_BLUE, (0, 1))
+        with pytest.raises(DomainError, match="does not lie on"):
+            prolong_belyavskaya(CYC3, grids.T_BLUE, (2.0, 1.0))
 
 
 class TestBelyavskayaGen:
@@ -463,8 +467,9 @@ class TestContractBruck:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             contract_bruck([[1]], 1)
-        with pytest.raises(DomainError):
-            contract_bruck(grids.BRUCK_OUT4, 9)
+        for deleted in (9, 4.0, True):
+            with pytest.raises(DomainError, match="deleted symbol must be in 1..4"):
+                contract_bruck(grids.BRUCK_OUT4, deleted)
 
 
 class TestContractExcept:
@@ -496,8 +501,9 @@ class TestContractExcept:
             contract_except(cyclic_square(4), 2)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            contract_except(grids.BEL_OUT4, 0)
+        for deleted in (0, 4.0, True):
+            with pytest.raises(DomainError, match="deleted symbol must be in 1..4"):
+                contract_except(grids.BEL_OUT4, deleted)
 
 
 class TestFeasibleContractions:

@@ -202,7 +202,7 @@ class TestSquareTypes:
         for sq in (cyclic_square(3), PartialLatinSquare(((1, None), (None, 1)))):
             n = sq.order
             for row, col in ((0, 0), (0, 1), (1, 0), (-1, 1), (1, -1),
-                             (n + 1, 1), (1, n + 1)):
+                             (n + 1, 1), (1, n + 1), (1.0, 2), (1, True)):
                 with pytest.raises(DomainError, match="outside"):
                     sq.cell(row, col)
             assert sq.cell(n, n) == sq.rows[n - 1][n - 1]
@@ -275,10 +275,11 @@ class TestGeneration:
         assert cyclic_square(5).cell(4, 5) == ((4 + 5 - 2) % 5) + 1
 
     def test_order_zero_rejected(self):
-        with pytest.raises(DomainError):
-            cyclic_square(0)
-        with pytest.raises(DomainError):
-            random_square(0, 1)
+        for order in (0, 3.0, True):
+            with pytest.raises(DomainError, match="order must be a positive int"):
+                cyclic_square(order)
+            with pytest.raises(DomainError, match="order must be a positive int"):
+                random_square(order, 1)
 
     def test_random_square_is_deterministic(self):
         assert random_square(5, 42) == random_square(5, 42)
