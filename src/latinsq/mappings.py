@@ -239,21 +239,23 @@ def find_transversals(square: LatinSquare,
         return list(islice(iter_transversals(square), limit))
     rows = _as_square(square).rows
     n = len(rows)
+    h = n // 2  # rows in the bottom band
     top, bottom, want = _halves(rows)
-    tails: dict[int, list] = {}
+    # the bottom partials by key; each is one tuple, its h 1-based
+    # columns followed by its h symbols
+    tails: dict[int, tuple[tuple[int, ...], ...]] = {}
     for picked, key in bottom:
-        first = n - len(picked)
-        tail = (tuple([c + 1 for c in picked]),
-                tuple([rows[x][c] for x, c in enumerate(picked, first)]))
-        tails.setdefault(key, []).append(tail)
+        tail = [c + 1 for c in picked]
+        tail += [rows[x][c] for x, c in enumerate(picked, n - h)]
+        tails[key] = tails.get(key, ()) + (tuple(tail),)
     found = []
     for picked, key in top:
         matched = tails.get(key ^ want)
         if matched:
             cols = tuple([c + 1 for c in picked])
             values = tuple([rows[x][c] for x, c in enumerate(picked)])
-            found += [Transversal(n, cols + tail_cols, values + tail_values)
-                      for tail_cols, tail_values in matched]
+            found += [Transversal(n, cols + tail[:h], values + tail[h:])
+                      for tail in matched]
     return found
 
 
