@@ -54,6 +54,7 @@ from .mappings import (
     MappingRecord,
     Transversal,
     conjugated_mapping,
+    count_quasicomplete_mappings,
     count_transversals,
     find_disjoint_transversals,
     find_quasicomplete_mappings,
@@ -82,6 +83,7 @@ __all__ = [
     "conjugated_mapping",
     "contract_bruck",
     "contract_except",
+    "count_quasicomplete_mappings",
     "count_transversals",
     "cyclic_square",
     "feasible_contractions",

@@ -16,7 +16,9 @@ line are one-line column permutations such as "3 1 2"; excepted cells
 are named by row only (`--except ROW`, the column is implied by the
 transversal), as are kept rows (`--keep ROW`).  argparse checks every
 integer and permutation flag: a token that is not an LSQ integer gets a
-usage line and exit code 2 before any square is read.
+usage line and exit code 2 before any square is read.  A run builds
+only the parser of the subcommand it names, and `qcmappings --count`
+counts the mappings without building a record for each.
 
 Exit codes: 0 success; 1 `verify` found an invalid square; 2 usage,
 parse, or parameter errors; 3 infeasible request (no completion or
@@ -39,7 +41,8 @@ def main() -> None:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits itself on --help and usage errors
@@ -57,23 +60,33 @@ def run(argv=None) -> int:
         return 2
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or only of `command`: a subcommand's
+    help and usage errors come from its own subparser, so both parsers give
+    the same bytes for an argv that starts with its name."""
     parser = argparse.ArgumentParser(
         prog="latinsq",
         description="Latin square prolongations, contractions, and the "
                     "transversal/mapping enumeration behind them.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name in _COMMANDS if command is None else [command]:
+        help_, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_))
+    return parser
 
-    p = sub.add_parser("verify", help="check a square file against the Latin invariants")
+
+def _add_verify(p) -> None:
     p.add_argument("file", help="LSQ file, or - for stdin")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("gen", help="emit a seeded pseudo-random Latin square")
+
+def _add_gen(p) -> None:
     p.add_argument("--order", type=_integer, required=True, metavar="N")
     p.add_argument("--seed", type=_integer, default=0, metavar="S")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("complete", help="enumerate completions of a partial square")
+
+def _add_complete(p) -> None:
     p.add_argument("file")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--all", action="store_true", help="emit every completion")
@@ -81,25 +94,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit at most N completions (default 1; 0 = no limit)")
     p.set_defaults(func=_cmd_complete)
 
-    for name, help_ in (("transversals", "count or list transversals"),
-                        ("qcmappings", "count or list quasicomplete mappings")):
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("file")
-        g = p.add_mutually_exclusive_group()
-        g.add_argument("--count", dest="mode", action="store_const", const="count",
-                       help="print only the count (default)")
-        g.add_argument("--list", dest="mode", action="store_const", const="list",
-                       help="print one line per result")
-        if name == "transversals":
-            p.add_argument("--disjoint", type=_integer, metavar="K",
-                           help="work on families of K pairwise disjoint transversals")
-        p.add_argument("--limit", type=_integer, metavar="N",
-                       help="cap --list output at N lines (0 = no limit)")
-        p.set_defaults(mode="count",
-                       func=_cmd_transversals if name == "transversals"
-                       else _cmd_qcmappings)
 
-    p = sub.add_parser("prolong", help="run a prolongation construction")
+def _add_results(p, transversals: bool = False) -> None:
+    """The arguments of transversals and, without --disjoint, qcmappings."""
+    p.add_argument("file")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--count", dest="mode", action="store_const", const="count",
+                   help="print only the count (default)")
+    g.add_argument("--list", dest="mode", action="store_const", const="list",
+                   help="print one line per result")
+    if transversals:
+        p.add_argument("--disjoint", type=_integer, metavar="K",
+                       help="work on families of K pairwise disjoint transversals")
+    p.add_argument("--limit", type=_integer, metavar="N",
+                   help="cap --list output at N lines (0 = no limit)")
+    p.set_defaults(mode="count",
+                   func=_cmd_transversals if transversals else _cmd_qcmappings)
+
+
+def _add_prolong(p) -> None:
     p.add_argument("file")
     p.add_argument("--method", required=True,
                    choices=["bruck", "disjoint", "belyavskaya", "gen-belyavskaya",
@@ -138,7 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=partial(_cmd_prolong, flags={
         a.dest: a.option_strings[0] for a in params}))
 
-    p = sub.add_parser("contract", help="run a contraction (inverse prolongation)")
+
+def _add_contract(p) -> None:
     p.add_argument("file")
     p.add_argument("--method", required=True, choices=["bruck", "except"])
     p.add_argument("--deleted", type=_integer, metavar="SYMBOL",
@@ -146,7 +160,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--try-all", dest="try_all", action="store_true",
                    help="report every feasible deleted symbol")
     p.set_defaults(func=_cmd_contract)
-    return parser
+
+
+_COMMANDS = {  # name: (help line, function adding its arguments), in help order
+    "verify": ("check a square file against the Latin invariants", _add_verify),
+    "gen": ("emit a seeded pseudo-random Latin square", _add_gen),
+    "complete": ("enumerate completions of a partial square", _add_complete),
+    "transversals": ("count or list transversals",
+                     partial(_add_results, transversals=True)),
+    "qcmappings": ("count or list quasicomplete mappings", _add_results),
+    "prolong": ("run a prolongation construction", _add_prolong),
+    "contract": ("run a contraction (inverse prolongation)", _add_contract),
+}
 
 
 # --- shared plumbing ---------------------------------------------------------
@@ -275,7 +300,8 @@ def _cmd_qcmappings(args) -> int:
     return _list_results(
         args,
         lambda cap: mappings.find_quasicomplete_mappings(sq, limit=cap),
-        lambda rec: _fmt_perm(rec.sigma))
+        lambda rec: _fmt_perm(rec.sigma),
+        lambda: mappings.count_quasicomplete_mappings(sq))
 
 
 _PROLONG_ALLOWED = {

@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through cli.run()."""
 
+import argparse
 import io
 
 import pytest
@@ -453,6 +454,39 @@ class TestContract:
         assert neither == 2
 
 
+TOP_DESCRIPTION = ("Latin square prolongations, contractions, and the "
+                   "transversal/mapping enumeration behind them.")
+COMMAND_HELP = {  # the full parser's commands and help lines, in help order
+    "verify": "check a square file against the Latin invariants",
+    "gen": "emit a seeded pseudo-random Latin square",
+    "complete": "enumerate completions of a partial square",
+    "transversals": "count or list transversals",
+    "qcmappings": "count or list quasicomplete mappings",
+    "prolong": "run a prolongation construction",
+    "contract": "run a contraction (inverse prolongation)",
+}
+NON_LSQ_INTEGER = {  # an argument list with "+3" where an int is due
+    "verify": ["-", "+3"],  # no integer flag: an extra argument
+    "gen": ["--order", "+3"],
+    "complete": ["-", "--limit", "+3"],
+    "transversals": ["-", "--disjoint", "+3"],
+    "qcmappings": ["-", "--limit", "+3"],
+    "prolong": ["-", "--method", "bruck", "--except", "+3"],
+    "contract": ["-", "--method", "bruck", "--deleted", "+3"],
+}
+
+
+def parse_bytes(capsys, parser, argv):
+    """The exit code, stdout and stderr of parsing argv (code None: parsed)."""
+    try:
+        parser.parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 class TestParser:
     def test_no_arguments(self, capsys):
         assert run_cli(capsys)[0] == 2
@@ -464,6 +498,38 @@ class TestParser:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "prolong" in out
+
+    @pytest.mark.parametrize("argv", [["--help"], [], ["frobnicate"]])
+    def test_top_level_bytes_frozen(self, capsys, argv):
+        frozen = argparse.ArgumentParser(prog="latinsq", description=TOP_DESCRIPTION)
+        sub = frozen.add_subparsers(dest="command", required=True, metavar="COMMAND")
+        for name, help_ in COMMAND_HELP.items():
+            sub.add_parser(name, help=help_)
+        assert run_cli(capsys, *argv) == parse_bytes(capsys, frozen, argv)
+
+    def test_full_parser_has_every_command_in_help_order(self):
+        sub, = (a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(COMMAND_HELP)
+        assert [a.dest for a in sub._choices_actions] == list(COMMAND_HELP)
+
+    @pytest.mark.parametrize("command", COMMAND_HELP)
+    def test_one_command_parser_gives_the_same_bytes(self, capsys, command):
+        for rest in (["--help"], ["--bogus"], [], NON_LSQ_INTEGER[command]):
+            argv = [command, *rest]
+            full = parse_bytes(capsys, cli.build_parser(), argv)
+            assert full[0] == (0 if rest == ["--help"] else 2), argv
+            assert full[1 if full[0] == 0 else 2].startswith("usage: latinsq"), argv
+            assert parse_bytes(capsys, cli.build_parser(command), argv) == full, argv
+
+    def test_run_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["latinsq", "verify", "-"])
+        monkeypatch.setattr("sys.stdin", io.StringIO(CYC3_TEXT))
+        assert cli.run() == 0
+        assert capsys.readouterr() == ("ok\n", "")
+        monkeypatch.setattr("sys.argv", ["latinsq", "--help"])
+        assert cli.run() == 0
+        assert capsys.readouterr().out.startswith("usage: latinsq [-h] COMMAND ...\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,6 +10,7 @@ from latinsq import (
     GridError,
     LatinSquare,
     conjugated_mapping,
+    count_quasicomplete_mappings,
     count_transversals,
     cyclic_square,
     find_disjoint_transversals,
@@ -21,6 +22,7 @@ from latinsq import (
     random_square,
     transversal_of,
 )
+from latinsq.oracle import oracle_quasicomplete
 
 CYC3 = cyclic_square(3)
 QC4 = LatinSquare(grids.QC_BASE4)
@@ -216,6 +218,24 @@ class TestQuasicompleteMappings:
             assert x1 < x2
             assert rec.sigma_bar[x1 - 1] == rec.sigma_bar[x2 - 1]
 
+    def test_count_equals_list_on_pools(self, pool):
+        for sq in [sq for n in sorted(pool) for sq in pool[n]]:
+            assert count_quasicomplete_mappings(sq) == \
+                len(find_quasicomplete_mappings(sq)), sq.rows
+
+    def test_count_equals_oracle(self):
+        squares = [cyclic_square(n) for n in range(1, 8)] + [QC4]
+        squares += [random_square(n, seed) for n in range(2, 8) for seed in range(3)]
+        for sq in squares:
+            assert count_quasicomplete_mappings(sq) == \
+                len(oracle_quasicomplete(sq)), sq.rows
+
+    def test_odd_cyclic_squares_have_none(self):
+        # sigma_bar sums to 0 mod n, and at odd n that forces a repeated
+        # symbol to be the missing one
+        for n in range(1, 10, 2):
+            assert count_quasicomplete_mappings(cyclic_square(n)) == 0, n
+
     def test_limit_is_a_prefix(self):
         full = find_quasicomplete_mappings(QC4)
         assert len(full) == 16
@@ -247,10 +267,12 @@ def test_limit_check_is_shared():
     (CYC3, lambda sq: find_disjoint_transversals(sq, 2)),
     (QC4, lambda sq: list(iter_quasicomplete_mappings(sq))),
     (QC4, lambda sq: find_quasicomplete_mappings(sq)),
+    (QC4, lambda sq: count_quasicomplete_mappings(sq)),
     (CYC3, lambda sq: permuted(sq, (3, 1, 2), (2, 3, 1))),
 ], ids=["transversal_of", "conjugated_mapping", "iter_transversals",
         "find_transversals", "count_transversals", "find_disjoint_transversals",
-        "iter_quasicomplete_mappings", "find_quasicomplete_mappings", "permuted"])
+        "iter_quasicomplete_mappings", "find_quasicomplete_mappings",
+        "count_quasicomplete_mappings", "permuted"])
 def test_plain_grid_input(square, call):
     grid = [list(row) for row in square.rows]
     assert call(grid) == call(square)
