@@ -49,7 +49,7 @@ the m rows of shared CellOrigin objects that `_project` fills.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .core import (
@@ -169,25 +169,51 @@ class ConstructionReport:
         object.__setattr__(self, "provenance", prov)
 
 
-def _as_transversal(square: LatinSquare, t) -> Transversal:
-    cols = t.cols if isinstance(t, Transversal) else t
-    return transversal_of(square, cols)
+def _transversal_obj(square: LatinSquare, t) -> tuple:
+    """Transversal t of the square, a Transversal or its columns, as the
+    kernel's (cols, values, kept row) with no row kept."""
+    t = transversal_of(square, t.cols if isinstance(t, Transversal) else t)
+    return t.cols, t.values, None
 
 
-def _as_quasicomplete(square: LatinSquare, m) -> MappingRecord:
-    sigma = m.sigma if isinstance(m, MappingRecord) else m
-    record = conjugated_mapping(square, sigma)
-    if record.kind != "quasicomplete":
+def _excepting(obj: tuple, cell, where: str) -> tuple:
+    """Transversal object obj keeping the row of `cell`, a 1-based
+    (row, col) pair that must lie on the transversal (`where`)."""
+    cols, values, _ = obj
+    try:
+        x0, y0 = cell
+    except (TypeError, ValueError):
+        x0 = y0 = None
+    if not (_is_int(x0) and _is_int(y0) and 1 <= x0 <= len(cols)
+            and cols[x0 - 1] == y0):
+        raise DomainError(f"excepted cell {cell} does not lie on {where}")
+    return cols, values, x0
+
+
+def _quasicomplete_obj(square: LatinSquare, m, kept_x) -> tuple:
+    """Quasicomplete mapping m of the square, a MappingRecord or its
+    sigma, as the kernel's (sigma, sigma_bar, kept row) followed by its
+    special element; the kept row is kept_x (see _kept_row)."""
+    rec = conjugated_mapping(square, m.sigma if isinstance(m, MappingRecord) else m)
+    if rec.kind != "quasicomplete":
+        raise DomainError(f"sigma {rec.sigma} is {rec.kind}, not quasicomplete")
+    return rec.sigma, rec.sigma_bar, _kept_row(rec, kept_x), rec.special
+
+
+def _kept_row(rec: MappingRecord, kept_x: int | None) -> int:
+    """kept_x, which must be in rec's duplicate pair (None = its larger)."""
+    if kept_x is None:
+        kept_x = rec.duplicate_pair[1]
+    if not (_is_int(kept_x) and kept_x in rec.duplicate_pair):
         raise DomainError(
-            f"sigma {record.sigma} is {record.kind}, not quasicomplete")
-    return record
+            f"kept row {kept_x} is not in the duplicate pair {rec.duplicate_pair}")
+    return kept_x
 
 
-def _check_disjoint(cell_sets: Sequence[Sequence[tuple[int, int]]],
-                    what: str) -> None:
+def _check_disjoint(picks: Sequence[Sequence[int]], what: str) -> None:
     seen: dict[tuple[int, int], int] = {}
-    for j, cells in enumerate(cell_sets, start=1):
-        for cell in cells:
+    for j, cols in enumerate(picks, start=1):
+        for cell in enumerate(cols, start=1):
             if cell in seen:
                 raise DomainError(
                     f"{what} {seen[cell]} and {j} share cell {cell}")
@@ -199,7 +225,7 @@ def _project(square: LatinSquare, objs, fill, col_assign, row_assign,
              origins=None, step: int = 1):
     """The projection shared by every prolongation.
 
-    objs holds one (cols, values, kept_row | None) per parameter object.
+    objs holds one (cols, values, kept_row | None, ...) per object.
     Object j's cells other than the kept one are vacated with fill(j),
     their values moved to new column n+col_assign(j) of their row and
     new row n+row_assign(j) of their column.  When `border`, the two
@@ -224,7 +250,7 @@ def _project(square: LatinSquare, objs, fill, col_assign, row_assign,
         if col_assign is not None else tuple(range(1, k + 1))
     ra = tuple(_check_perm(row_assign, k, "row_assign")) \
         if row_assign is not None else tuple(range(1, k + 1))
-    _check_disjoint([list(enumerate(cols, start=1)) for cols, _, _ in objs], what)
+    _check_disjoint([obj[0] for obj in objs], what)
     grid = [list(row) + [0] * k for row in square.rows]
     grid += [[0] * (n + k) for _ in range(k)]
     if origins is None:
@@ -232,7 +258,7 @@ def _project(square: LatinSquare, objs, fill, col_assign, row_assign,
     prov = [list(row) + [None] * k for row in origins]
     prov += [[None] * (n + k) for _ in range(k)]
     crossings = []
-    for j, (cols, values, kept) in enumerate(objs, start=step):
+    for j, (cols, values, kept, *_) in enumerate(objs, start=step):
         f, nr, nc = fill[j - step], n + ra[j - step], n + ca[j - step]
         crossings.append((nr, nc))
         vacated, to_col, to_row, border_fill = (
@@ -277,25 +303,6 @@ def _prolong_one(square: LatinSquare, obj, origins=None, step: int = 1,
     return _finish(grid, prov, **extra)
 
 
-def _excepted_row(t: Transversal, cell, where: str) -> int:
-    """The row of `cell`, which must lie on the transversal t."""
-    x0, y0 = cell
-    if not (_is_int(x0) and _is_int(y0) and 1 <= x0 <= t.order
-            and t.cols[x0 - 1] == y0):
-        raise DomainError(f"excepted cell {cell} does not lie on {where}")
-    return x0
-
-
-def _kept_row(rec: MappingRecord, kept_x: int | None) -> int:
-    """kept_x, which must be in rec's duplicate pair (None = its larger)."""
-    if kept_x is None:
-        kept_x = rec.duplicate_pair[1]
-    if kept_x not in rec.duplicate_pair:
-        raise DomainError(
-            f"kept row {kept_x} is not in the duplicate pair {rec.duplicate_pair}")
-    return kept_x
-
-
 def prolong_bruck(square, transversal) -> ConstructionReport:
     """Order n+1 from one transversal.
 
@@ -304,8 +311,7 @@ def prolong_bruck(square, transversal) -> ConstructionReport:
     symbol n+1, as does the corner (n+1, n+1).
     """
     square = _as_square(square)
-    t = _as_transversal(square, transversal)
-    return _prolong_one(square, (t.cols, t.values, None))
+    return _prolong_one(square, _transversal_obj(square, transversal))
 
 
 def prolong_disjoint(square, transversals, fill=None, col_assign=None,
@@ -321,11 +327,10 @@ def prolong_disjoint(square, transversals, fill=None, col_assign=None,
     """
     square = _as_square(square)
     n = square.order
-    ts = [_as_transversal(square, t) for t in transversals]
-    grid, prov, _ = _project(square, [(t.cols, t.values, None) for t in ts],
-                             fill, col_assign, row_assign)
+    objs = [_transversal_obj(square, t) for t in transversals]
+    grid, prov, _ = _project(square, objs, fill, col_assign, row_assign)
     block = CellOrigin("border_fill")
-    for i, row in enumerate(_check_bottom(bottom, n, len(ts)), start=n):
+    for i, row in enumerate(_check_bottom(bottom, n, len(objs)), start=n):
         grid[i][n:] = row
         prov[i][n:] = [block] * len(row)
     return _finish(grid, prov)
@@ -357,9 +362,8 @@ def prolong_belyavskaya(square, transversal, excepted) -> ConstructionReport:
     swapped.
     """
     square = _as_square(square)
-    t = _as_transversal(square, transversal)
-    x0 = _excepted_row(t, excepted, "the transversal")
-    return _prolong_one(square, (t.cols, t.values, x0))
+    obj = _transversal_obj(square, transversal)
+    return _prolong_one(square, _excepting(obj, excepted, "the transversal"))
 
 
 def prolong_belyavskaya_gen(square, pairs, fill=None, col_assign=None,
@@ -377,10 +381,10 @@ def prolong_belyavskaya_gen(square, pairs, fill=None, col_assign=None,
     completion exists.
     """
     square = _as_square(square)
-    objs = []
-    for t, e in pairs:
-        t = _as_transversal(square, t)
-        objs.append((t.cols, t.values, _excepted_row(t, tuple(e), "its transversal")))
+    # a list cell reads as a tuple in the error, as a tuple cell does
+    objs = [_excepting(_transversal_obj(square, t),
+                       tuple(e) if isinstance(e, Iterable) else e, "its transversal")
+            for t, e in pairs]
     grid, prov, _ = _project(square, objs, fill, col_assign, row_assign)
     return _complete_reports(grid, prov, limit)
 
@@ -409,8 +413,7 @@ def prolong_dd(square, mapping, kept_x: int | None = None) -> ConstructionReport
     special element.
     """
     square = _as_square(square)
-    rec = _as_quasicomplete(square, mapping)
-    return _prolong_one(square, (rec.sigma, rec.sigma_bar, _kept_row(rec, kept_x)))
+    return _prolong_one(square, _quasicomplete_obj(square, mapping, kept_x))
 
 
 def prolong_dd_gen(square, pairs, fill=None, col_assign=None, row_assign=None,
@@ -427,17 +430,12 @@ def prolong_dd_gen(square, pairs, fill=None, col_assign=None, row_assign=None,
     per completion (at most `limit`); empty list if none exists.
     """
     square = _as_square(square)
-    recs = []
-    objs = []
-    for m_, kx in pairs:
-        rec = _as_quasicomplete(square, m_)
-        recs.append(rec)
-        objs.append((rec.sigma, rec.sigma_bar, _kept_row(rec, kx)))
+    objs = [_quasicomplete_obj(square, m, kx) for m, kx in pairs]
     grid, prov, crossings = _project(square, objs, fill, col_assign, row_assign,
                                      border=False, what="mappings")
     if seed_diagonal:
-        for j, (rec, (r, c)) in enumerate(zip(recs, crossings), start=1):
-            grid[r - 1][c - 1] = rec.special
+        for j, ((*_, special), (r, c)) in enumerate(zip(objs, crossings), start=1):
+            grid[r - 1][c - 1] = special
             prov[r - 1][c - 1] = CellOrigin("diagonal_seed", j)
     return _complete_reports(grid, prov, limit)
 
@@ -459,25 +457,24 @@ def two_step(square, t1, t2, first: str = "bruck", excepted=None,
     passing either with first="bruck" raises DomainError.
     """
     square = _as_square(square)
-    ta = _as_transversal(square, t1)
-    tb = _as_transversal(square, t2)
+    obj1 = _transversal_obj(square, t1)
+    cols2 = _transversal_obj(square, t2)[0]
     n = square.order
-    _check_disjoint([ta.cells(), tb.cells()], "transversals")
+    _check_disjoint([obj1[0], cols2], "transversals")
 
     if first == "bruck":
         for name, value in (("excepted", excepted), ("kept_choice", kept_choice)):
             if value is not None:
                 raise DomainError(f"{name} applies only to a belyavskaya first step")
-        x0 = None
     elif first == "belyavskaya":
         if excepted is None:
             raise DomainError("a belyavskaya first step needs an excepted cell")
-        x0 = _excepted_row(ta, excepted, "the transversal")
+        obj1 = _excepting(obj1, excepted, "the transversal")
     else:
         raise DomainError(f"first step must be bruck or belyavskaya, got {first!r}")
-    rep1 = _prolong_one(square, (ta.cols, ta.values, x0))
+    rep1 = _prolong_one(square, obj1)
 
-    rec2 = conjugated_mapping(rep1.output, tb.cols + (n + 1,))
+    rec2 = conjugated_mapping(rep1.output, cols2 + (n + 1,))
     if rec2.kind == "complete":
         x2 = None
     elif rec2.kind == "quasicomplete":

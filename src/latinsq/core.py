@@ -208,7 +208,7 @@ class LatinSquare:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        object.__setattr__(self, "rows", _raw_rows(self.rows))
         report = validate(self.rows)
         if not report.ok:
             raise GridError(f"not a Latin square:\n{report}")
@@ -232,7 +232,7 @@ class PartialLatinSquare:
     rows: tuple[tuple[int | None, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        object.__setattr__(self, "rows", _raw_rows(self.rows))
         bad = [i for i in validate(self.rows).issues if i.kind != "empty"]
         if bad:
             raise GridError("not a valid partial square:\n"
@@ -259,7 +259,10 @@ def complete_partial(partial, limit: int | None = None) -> list[LatinSquare]:
     fewest admissible symbols (ties broken row-major) and trying symbols
     in ascending order, so repeated calls enumerate completions in the
     same deterministic order.  Returns at most `limit` squares when a
-    limit is given; an empty list means no completion exists.
+    limit is given; an empty list means no completion exists.  The search
+    recurses once per empty cell, so at Python's default recursion limit
+    about 1,000 empty cells raise RecursionError, and it is exponential
+    on grids such as the empty 32 x 32 one (ROADMAP.md, Open item 1).
     """
     if not isinstance(partial, PartialLatinSquare):
         partial = PartialLatinSquare(_raw_rows(partial))
@@ -337,7 +340,9 @@ def random_square(order: int, seed: int) -> LatinSquare:
     seed-shuffled order and trying admissible symbols in a seed-shuffled
     order, backtracking within the row when stuck.  Any Latin rectangle
     extends to a Latin square, so rows never need to be revisited.  The
-    distribution is NOT uniform over all Latin squares of the order.
+    distribution is NOT uniform over all Latin squares of the order.  The
+    backtracking within a row is exponential by order 64, and order 100
+    does not finish (ROADMAP.md, Open item 1).
     """
     if not (_is_int(order) and order >= 1):
         raise DomainError(f"order must be a positive int, got {order!r}")
@@ -486,13 +491,23 @@ def format_lsq(grid, comments: Sequence[str] = ()) -> str:
     """Render a square or partial square in canonical LSQ text.
 
     Each comment becomes one "# " line, so a comment holding a line break
-    (any that str.splitlines splits on) raises DomainError.
+    (any that str.splitlines splits on) raises DomainError.  A plain grid
+    must be what `parse_lsq_grid` reads back, n >= 1 rows of n cells that
+    are each an int or None; anything else raises GridError.
     """
     rows = _raw_rows(grid)
     lines = [f"# {c}" for c in comments]
     for line in lines:
         if "".join(line.splitlines()) != line:
             raise DomainError(f"comment {line[2:]!r} holds a line break")
+    if not isinstance(grid, (LatinSquare, PartialLatinSquare)):
+        n = len(rows)
+        if not n:
+            raise GridError("cannot format an empty grid")
+        for r, row in enumerate(rows, start=1):
+            if len(row) != n or not all(v is None or _is_int(v) for v in row):
+                raise GridError(f"cannot format row {r} {row!r}: it does not fit "
+                                f"an order-{n} grid of int or None cells")
     lines.append(str(len(rows)))
     for row in rows:
         lines.append(" ".join("." if v is None else str(v) for v in row))

@@ -376,8 +376,7 @@ def find_quasicomplete_mappings(square: LatinSquare,
 def count_quasicomplete_mappings(square: LatinSquare) -> int:
     """The number of quasicomplete mappings, found by the row search of
     `iter_quasicomplete_mappings` but counted without building a single
-    MappingRecord.  The row search is meant to give way here to a join
-    of the two half-squares, as in `count_transversals`."""
+    MappingRecord."""
     rows = _as_square(square).rows
     n = len(rows)
     return sum(1 for _ in _transversal_cols(rows, [(1 << n) - 1] * n, repeat=True))

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -217,6 +218,18 @@ class TestBelyavskaya:
             prolong_belyavskaya(CYC3, grids.T_BLUE, (0, 1))
         with pytest.raises(DomainError, match="does not lie on"):
             prolong_belyavskaya(CYC3, grids.T_BLUE, (2.0, 1.0))
+        for cell in (5, None, (1,), (1, 2, 3)):
+            with pytest.raises(DomainError, match="does not lie on the transversal"):
+                prolong_belyavskaya(CYC3, grids.T_BLUE, cell)
+            with pytest.raises(DomainError, match="does not lie on its transversal"):
+                prolong_belyavskaya_gen(CYC3, [(grids.T_BLUE, cell)])
+        # a list cell works, and reads as a tuple in prolong_belyavskaya_gen
+        assert prolong_belyavskaya(CYC3, grids.T_BLUE, [2, 1]).output.rows == \
+            grids.BEL_OUT4
+        [rep] = prolong_belyavskaya_gen(CYC3, [(grids.T_BLUE, [2, 1])])
+        assert rep.output.rows == grids.BEL_OUT4
+        with pytest.raises(DomainError, match=re.escape("excepted cell (2, 2) ")):
+            prolong_belyavskaya_gen(CYC3, [(grids.T_BLUE, [2, 2])])
 
 
 class TestBelyavskayaGen:
@@ -259,6 +272,9 @@ class TestBelyavskayaGen:
             assert rep.provenance[cell].kind == "completed"
 
 
+PAIR_1_4 = (1, 4, 2, 3)  # a quasicomplete mapping of QC4
+
+
 class TestDD:
     def test_reference_grid(self):
         rep = prolong_dd(QC4, grids.QC_SIGMA, 4)
@@ -290,6 +306,12 @@ class TestDD:
             prolong_dd(cyclic_square(4), (1, 2, 3, 4))
         with pytest.raises(DomainError, match="duplicate pair"):
             prolong_dd(QC4, grids.QC_SIGMA, 1)
+        # QC_SIGMA's duplicate pair is (3, 4), PAIR_1_4's is (1, 4)
+        for sigma, kept in ((grids.QC_SIGMA, 3.0), (PAIR_1_4, True)):
+            with pytest.raises(DomainError, match="duplicate pair"):
+                prolong_dd(QC4, sigma, kept)
+            with pytest.raises(DomainError, match="duplicate pair"):
+                prolong_dd_gen(QC4, [(sigma, kept)])
 
 
 class TestDDGen:
@@ -372,6 +394,16 @@ class TestTwoStep:
             two_step(CYC3, grids.T_BLUE, grids.T_YELLOW, first="belyavskaya")
         with pytest.raises(DomainError, match="first step"):
             two_step(CYC3, grids.T_BLUE, grids.T_YELLOW, first="dd")
+        # None is the missing excepted cell, rejected above
+        for cell in (5, (1,), (1, 2, 3)):
+            with pytest.raises(DomainError, match="does not lie on the transversal"):
+                two_step(CYC3, grids.T_BLUE, grids.T_YELLOW, first="belyavskaya",
+                         excepted=cell)
+        # sigma2's duplicate pair is (3, 4) for excepted (2, 1), (1, 4) for (3, 2)
+        for cell, kept in (((2, 1), 3.0), ((3, 2), True)):
+            with pytest.raises(DomainError, match="duplicate pair"):
+                two_step(CYC3, grids.T_BLUE, grids.T_YELLOW, first="belyavskaya",
+                         excepted=cell, kept_choice=kept)
 
     def test_bruck_first_rejects_belyavskaya_arguments(self):
         with pytest.raises(DomainError, match="excepted applies only"):

@@ -86,8 +86,10 @@ class TestValidate:
         assert validate([[1]]).ok
 
     def test_rejects_non_grid(self):
-        with pytest.raises(GridError, match="not a grid"):
-            validate(5)
+        for grid in (5, [1, 2], None):
+            for build in (validate, LatinSquare, PartialLatinSquare):
+                with pytest.raises(GridError, match="not a grid"):
+                    build(grid)
 
     def test_duplicates_are_reported_per_line(self):
         report = validate([[1, 2], [1, 2]])
@@ -332,6 +334,19 @@ class TestLsqFormat:
     def test_comments_and_blanks_ignored(self):
         text = "# heading\n\n3\n# inner\n1 2 3\n2 3 1\n\n3 1 2\n"
         assert parse_lsq(text) == cyclic_square(3)
+
+    def test_plain_grid_round_trips(self):
+        for grid in (((1,),), ((1, 2), (2, 1)), ((None, 9), (1, None)),
+                     ((0, -1), (-7, None)), grids.CYCLIC3):
+            assert parse_lsq_grid(format_lsq(grid)) == grid
+            assert parse_lsq_grid(format_lsq([list(row) for row in grid])) == grid
+
+    @pytest.mark.parametrize("grid", [[], (), [[1, 2], [3]], [[1], [2]],
+                                      [[1, 2, 3]], [[True]], [[1.0]], [["1"]],
+                                      [[1, 2], [2, False]]])
+    def test_plain_grid_that_does_not_parse_back_rejected(self, grid):
+        with pytest.raises(GridError, match="cannot format"):
+            format_lsq(grid)
 
     def test_comment_parameter(self):
         text = format_lsq(cyclic_square(2), comments=["deleted: 3"])
