@@ -139,7 +139,8 @@ class TestValidate:
     def test_malformed_variants_match_naive_reference(self):
         rng = random.Random(20151018)
         kinds = ("true", "float", "intenum", "none", "list", "str",
-                 "short", "swap")
+                 "short", "swap", "holes", "range_dup", "two_types")
+        bad_cells = (True, 2.5, [1], "1", object())
         for n in range(1, 10):
             for seed in range(4):
                 base = cyclic_square(n) if seed == 0 else random_square(n, seed)
@@ -161,6 +162,21 @@ class TestValidate:
                         rows[r][c] = "1"
                     elif kind == "short":
                         del rows[r][c]
+                    elif kind == "holes":  # 30-60 % of the cells empty
+                        cells = [(i, j) for i in range(n) for j in range(n)]
+                        share = rng.uniform(0.3, 0.6)
+                        for i, j in rng.sample(cells, round(share * n * n)):
+                            rows[i][j] = None
+                    elif kind == "range_dup":
+                        if n >= 2:
+                            r2 = rng.randrange(n)
+                            c2, c3 = rng.sample(range(n), 2)
+                            rows[r2][c3] = rows[r2][c2]
+                        rows[r][c] = rng.choice((0, -1, n + 1, 10 ** 20))
+                    elif kind == "two_types":
+                        for j, v in zip(rng.sample(range(n), min(n, 2)),
+                                        rng.sample(bad_cells, 2)):
+                            rows[r][j] = v
                     else:
                         c2 = rng.randrange(n)
                         rows[r][c], rows[r][c2] = rows[r][c2], rows[r][c]
