@@ -91,14 +91,15 @@ def validate(grid) -> ValidationReport:
     """Check a raw grid against the Latin square invariants.
 
     Accepts nested sequences (entries may be None for empty cells) or a
-    LatinSquare / PartialLatinSquare.  Returns a report listing any
-    symbol-range and empty-cell defects, then every row/column duplicate
-    among the cells that hold symbols; a shape defect is reported alone.
-    The report is empty exactly when the grid is a Latin square.
+    LatinSquare / PartialLatinSquare.  The report is empty exactly when
+    the grid is a Latin square.  A shape defect is reported alone; else
+    the report lists each cell that is neither None nor an int 1..n (row
+    by row), then the count of empty cells, then every symbol repeated
+    among the valid cells of a row, then of a column (symbols ascending).
 
     A Latin square is recognized by one test run in C (cell types first,
-    so unhashable or bool cells never reach a set); anything else gets
-    the detailed scan that builds the report.
+    so unhashable or bool cells never reach a set).  The detailed scan
+    also tests each line in C and looks at cells only in lines that fail.
     """
     rows = _raw_rows(grid)
     n = len(rows)
@@ -108,63 +109,41 @@ def validate(grid) -> ValidationReport:
             and all(map(symbols.__eq__, map(set, rows)))
             and all(map(symbols.__eq__, map(set, zip(*rows))))):
         return _CLEAN
-    issues: list[ValidationIssue] = []
     if n == 0:
-        issues.append(ValidationIssue("shape", 0, None, "empty grid"))
-        return ValidationReport(tuple(issues))
-    for r, row in enumerate(rows, start=1):
-        if len(row) != n:
-            issues.append(ValidationIssue(
-                "shape", r, None,
-                f"row {r} has {len(row)} entries, expected {n}"))
-    if any(i.kind == "shape" for i in issues):
+        return ValidationReport((ValidationIssue("shape", 0, None, "empty grid"),))
+    issues = [ValidationIssue("shape", r, None,
+                              f"row {r} has {len(row)} entries, expected {n}")
+              for r, row in enumerate(rows, start=1) if len(row) != n]
+    if issues:
         return ValidationReport(tuple(issues))
 
-    empties = 0
+    def symbol(v) -> int | None:
+        return int(v) if _is_int(v) and 1 <= v <= n else None
+
+    cell_types = {int, type(None)}
+    symbols.add(None)
+    empties = list(chain.from_iterable(rows)).count(None)
+    clean = list(rows)
     for r, row in enumerate(rows, start=1):
-        for v in row:
-            if v is None:
-                empties += 1
-                continue
-            symbol = v if _is_int(v) else None
-            if symbol is None or not 1 <= symbol <= n:
-                issues.append(ValidationIssue(
-                    "symbol", r, symbol,
-                    f"row {r}: symbol {v!r} out of range for order {n}"))
+        if not (cell_types.issuperset(map(type, row)) and symbols.issuperset(row)):
+            issues += [ValidationIssue(
+                "symbol", r, v if _is_int(v) else None,
+                f"row {r}: symbol {v!r} out of range for order {n}")
+                for v in row if v is not None and symbol(v) is None]
+            # The cells reported above take no part in the duplicate scan.
+            clean[r - 1] = list(map(symbol, row))
     if empties:
-        plural = "s" if empties != 1 else ""
         issues.append(ValidationIssue(
-            "empty", 0, None, f"{empties} empty cell{plural}"))
-    if any(i.kind == "symbol" for i in issues):
-        # The cells reported above take no part in the duplicate scan.
-        rows = [[v if _is_int(v) and 1 <= v <= n else None for v in row]
-                for row in rows]
-    return ValidationReport(tuple(issues + _duplicates(rows)))
-
-
-def _duplicates(rows) -> list[ValidationIssue]:
-    """Every symbol repeated within a row, then within a column.
-
-    One pass per line with a bitmask of the symbols seen; empty (None)
-    cells are skipped, filled cells must hold symbols 1..n.  Issues come
-    rows first, then columns, symbols ascending within each line.
-    """
-    issues: list[ValidationIssue] = []
-    for kind, lines in (("row", rows), ("column", zip(*rows))):
+            "empty", 0, None, f"{empties} empty cell{'s' if empties != 1 else ''}"))
+    for kind, lines in (("row", clean), ("column", zip(*clean))):
         for i, line in enumerate(lines, start=1):
-            seen = dup = 0
-            for v in line:
-                if v is not None:
-                    bit = 1 << v
-                    dup |= seen & bit
-                    seen |= bit
-            while dup:
-                bit = dup & -dup
-                dup ^= bit
-                v = bit.bit_length() - 1
-                issues.append(ValidationIssue(
-                    kind, i, v, f"{kind} {i} duplicates symbol {v}"))
-    return issues
+            # n + 1 (distinct symbols, None, empty cells) unless a symbol repeats
+            if len({*line, None}) + line.count(None) <= n:
+                held = sorted(filter(None, line))  # the cells are None or 1..n
+                issues += [ValidationIssue(
+                    kind, i, v, f"{kind} {i} duplicates symbol {v}")
+                    for v in sorted({a for a, b in zip(held, held[1:]) if a == b})]
+    return ValidationReport(tuple(issues))
 
 
 def is_latin(grid) -> bool:
@@ -492,8 +471,8 @@ def format_lsq(grid, comments: Sequence[str] = ()) -> str:
 
     Each comment becomes one "# " line, so a comment holding a line break
     (any that str.splitlines splits on) raises DomainError.  A plain grid
-    must be what `parse_lsq_grid` reads back, n >= 1 rows of n cells that
-    are each an int or None; anything else raises GridError.
+    must be what `parse_lsq_grid` reads back: any shape issue or cell-type
+    issue (symbol None) that `validate` reports raises GridError.
     """
     rows = _raw_rows(grid)
     lines = [f"# {c}" for c in comments]
@@ -501,13 +480,10 @@ def format_lsq(grid, comments: Sequence[str] = ()) -> str:
         if "".join(line.splitlines()) != line:
             raise DomainError(f"comment {line[2:]!r} holds a line break")
     if not isinstance(grid, (LatinSquare, PartialLatinSquare)):
-        n = len(rows)
-        if not n:
-            raise GridError("cannot format an empty grid")
-        for r, row in enumerate(rows, start=1):
-            if len(row) != n or not all(v is None or _is_int(v) for v in row):
-                raise GridError(f"cannot format row {r} {row!r}: it does not fit "
-                                f"an order-{n} grid of int or None cells")
+        bad = [str(i) for i in validate(rows).issues
+               if i.kind == "shape" or (i.kind == "symbol" and i.symbol is None)]
+        if bad:
+            raise GridError("cannot format the grid:\n" + "\n".join(bad))
     lines.append(str(len(rows)))
     for row in rows:
         lines.append(" ".join("." if v is None else str(v) for v in row))
