@@ -92,9 +92,10 @@ class CellOrigin:
       diagonal_seed  deterministic diagonal entry of the new block
       completed      resolved by the completion search
 
-    step is the 1-based index of the parameter object (transversal or
-    mapping) responsible, or None where no single one is (unchanged,
-    completed, and the literal bottom block of prolong_disjoint).
+    step is the 1-based index (an int >= 1) of the parameter object
+    (transversal or mapping) responsible, or None where no single one is
+    (unchanged, completed, and the literal bottom block of
+    prolong_disjoint).
     """
 
     kind: str
@@ -103,6 +104,9 @@ class CellOrigin:
     def __post_init__(self):
         if self.kind not in ORIGIN_KINDS:
             raise DomainError(f"unknown origin kind {self.kind!r}")
+        if not (self.step is None or _is_int(self.step) and self.step >= 1):
+            raise DomainError(
+                f"origin step must be None or an int >= 1, got {self.step!r}")
 
     def __str__(self) -> str:
         return self.kind if self.step is None else f"{self.kind}({self.step})"
@@ -142,11 +146,14 @@ class ConstructionReport:
 
     provenance maps every 1-based (row, col) of the output to a
     CellOrigin: a read-only mapping view over m rows of origins,
-    iterated row-major.  A mapping passed in must cover every output
-    cell exactly once.  completions_found is the number of completions
-    the search produced (generalized constructions only; all reports of
-    one call share the value and the provenance).  intermediate is the
-    classification record of the second-step mapping (two_step only).
+    iterated row-major.  An output passed in as a plain grid must form a
+    Latin square and becomes a LatinSquare; a mapping passed in must map
+    every output cell, exactly once, to a CellOrigin (the views the
+    constructions build are not checked again).  completions_found is
+    the number of completions the search produced (generalized
+    constructions only; all reports of one call share the value and the
+    provenance).  intermediate is the classification record of the
+    second-step mapping (two_step only).
     """
 
     output: LatinSquare
@@ -155,6 +162,7 @@ class ConstructionReport:
     intermediate: MappingRecord | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "output", _as_square(self.output))
         m = self.output.order
         prov = self.provenance
         if isinstance(prov, _Provenance):
@@ -164,6 +172,10 @@ class ConstructionReport:
             covered = set(prov) == {(r, c) for r in span for c in span}
             if covered:
                 prov = _Provenance([[prov[(r, c)] for c in span] for r in span])
+                for origin in prov.values():
+                    if not isinstance(origin, CellOrigin):
+                        raise DomainError(
+                            f"provenance value {origin!r} is not a CellOrigin")
         if not covered:
             raise DomainError("provenance must cover every output cell exactly once")
         object.__setattr__(self, "provenance", prov)

@@ -12,6 +12,7 @@ from latinsq import (
     CellOrigin,
     ConstructionReport,
     DomainError,
+    GridError,
     InfeasibleError,
     LatinSquare,
     complete_partial,
@@ -628,9 +629,11 @@ class TestReportPlumbing:
         with pytest.raises(DomainError, match="cover every output cell"):
             ConstructionReport(out, {})
 
-    def test_unknown_origin_kind(self):
+    @pytest.mark.parametrize("kind, step", [("teleported", 1), ("kept", True),
+                                            ("kept", 1.5), ("kept", 0)])
+    def test_unknown_origin_kind(self, kind, step):
         with pytest.raises(DomainError):
-            CellOrigin("teleported", 1)
+            CellOrigin(kind, step)
 
     def test_appended_rows_can_be_moved_afterwards(self):
         rep = prolong_bruck(CYC3, grids.T_BLUE)
@@ -709,10 +712,20 @@ def test_provenance_view(name):
     copy = ConstructionReport(rep.output, dict(prov), rep.completions_found,
                               rep.intermediate)
     assert copy.provenance == prov and copy == rep
+    plain = ConstructionReport([list(row) for row in rep.output.rows], dict(prov),
+                               rep.completions_found, rep.intermediate)
+    assert plain == rep and isinstance(plain.output, LatinSquare)
     extra = dict(prov)
     extra[(m + 1, 1)] = CellOrigin("unchanged")
     missing = dict(prov)
     del missing[(m, m)]
-    for bad in (extra, missing):
-        with pytest.raises(DomainError, match="cover every output cell"):
+    wrong = dict(prov)
+    wrong[(1, 1)] = "x"
+    for bad, match in ((extra, "cover every output cell"),
+                       (missing, "cover every output cell"),
+                       (wrong, "not a CellOrigin")):
+        with pytest.raises(DomainError, match=match):
             ConstructionReport(rep.output, bad)
+    for output in ([list(row) for row in rep.output.rows[::-1]] * 2, 5):
+        with pytest.raises(GridError):
+            ConstructionReport(output, dict(prov))
