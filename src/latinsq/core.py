@@ -130,7 +130,7 @@ def validate(grid) -> ValidationReport:
                 "symbol", r, v if _is_int(v) else None,
                 f"row {r}: symbol {v!r} out of range for order {n}")
                 for v in row if v is not None and symbol(v) is None]
-            # The cells reported above take no part in the duplicate scan.
+            # Reported cells leave the duplicate scan; the others enter as plain ints.
             clean[r - 1] = list(map(symbol, row))
     if empties:
         issues.append(ValidationIssue(
