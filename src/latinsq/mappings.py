@@ -23,13 +23,14 @@ never recursive, in lexicographic sigma order; a quasicomplete search is
 a transversal search that may take one symbol twice.  Counts grow fast,
 so the finders accept a limit; `iter_*` variants yield lazily.  A full
 transversal enumeration (no limit) meets in the middle instead: the row
-search runs once over the bottom half of the rows, storing each partial
-transversal under its column and symbol masks, and once over the top
-half, whose partials each look up their complement.  That join is the
-same list, in the same order, for far less search, and
-`count_transversals` counts it without building any result.  A limited
-or lazy search keeps the plain row search, because the join must finish
-the bottom half before its first result.
+search runs once over the bottom half of the rows, folding each partial
+transversal into the entry of its column and symbol masks, and once
+over the top half, whose partials each look up their complement.  That
+join is the same list, in the same order, for far less search.  The
+list and the count run the one join: `find_transversals` keeps a tuple
+of partials per entry, `count_transversals` a count, so it builds no
+result.  A limited or lazy search keeps the plain row search, because
+the join must finish the bottom half before its first result.
 
 One driver builds disjoint families member by member.  With a limit it
 searches each member with the cells of the earlier members masked out,
@@ -131,10 +132,11 @@ def _classified(rows, sigma: tuple[int, ...]) -> MappingRecord:
     return MappingRecord(n, sigma, bar, "neither")
 
 
-def _transversal_cols(rows, allowed: list[int], repeat: bool = False
-                      ) -> Iterator[tuple[list[int], int]]:
+def _transversal_cols(rows, allowed: list[int] | None = None,
+                      repeat: bool = False) -> Iterator[tuple[list[int], int]]:
     """Yield the 0-based column picks of every transversal whose cell in
-    row x lies in the column bitmask allowed[x], in lexicographic order.
+    row x lies in the column bitmask allowed[x] (any column if allowed is
+    None), in lexicographic order.
 
     rows may be a band of a square's rows: the search then yields every
     partial transversal of the band.  Each pick comes with its key, the
@@ -154,6 +156,8 @@ def _transversal_cols(rows, allowed: list[int], repeat: bool = False
     n = len(rows[0])
     depth = len(rows)
     spare = 1 << n
+    if allowed is None:
+        allowed = [spare - 1] * depth
     vbits = [[1 << (v - 1) for v in row] for row in rows]
     picked = [0] * depth
     avail = [0] * depth
@@ -197,32 +201,34 @@ def _transversal(rows, picked: list[int]) -> Transversal:
 def iter_transversals(square: LatinSquare) -> Iterator[Transversal]:
     """Yield every transversal, in lexicographic column order."""
     rows = _as_square(square).rows
-    n = len(rows)
-    return (_transversal(rows, picked)
-            for picked, _ in _transversal_cols(rows, [(1 << n) - 1] * n))
+    return (_transversal(rows, picked) for picked, _ in _transversal_cols(rows))
 
 
-def _halves(rows):
-    """Meet in the middle: split the rows into a top band of ceil(n/2)
-    rows and a bottom band of the rest, and enumerate the partial
-    transversals of each.
+def _join(rows, item, empty):
+    """Meet in the middle over every transversal of the square rows.
 
-    Returns (top, bottom, want): two iterators of (picks, key) from
-    `_transversal_cols`, and want, the number that turns a top key into
-    the key of the bottom partials that complete it.  Both halves come
-    in lexicographic order, so a top pick followed by the matching
-    bottom picks, in the order they came, is lexicographic too.
+    The rows split into a top band of ceil(n/2) rows and a bottom band of
+    the rest.  Each partial transversal of the bottom band is folded into
+    the entry of its key with +: entry = empty + item(picks) + ...  Then
+    each partial of the top band whose complement key has an entry is
+    yielded as (picks, entry).  Both bands come in lexicographic order,
+    so a top pick followed by its entry's bottom picks, in the order they
+    came, is lexicographic too.  The picks list is updated in place.
     """
     n = len(rows)
     split = (n + 1) // 2
-    full = (1 << n) - 1
-    top = _transversal_cols(rows[:split], [full] * split)
+    table = {}
+    # order 1: the bottom band is empty, with one partial of empty key
+    bottom = _transversal_cols(rows[split:]) if split < n else [([], 1 << 2 * n)]
+    for picked, key in bottom:
+        table[key] = table.get(key, empty) + item(picked)
     # both keys carry the spare bit 2n; XOR flips the 2n column and
     # symbol bits below it
     want = (1 << 2 * n) - 1
-    if split == n:  # order 1: the bottom band is empty
-        return top, iter([([], 1 << 2 * n)]), want
-    return top, _transversal_cols(rows[split:], [full] * (n - split)), want
+    for picked, key in _transversal_cols(rows[:split]):
+        entry = table.get(key ^ want)
+        if entry:
+            yield picked, entry
 
 
 def find_transversals(square: LatinSquare,
@@ -240,33 +246,26 @@ def find_transversals(square: LatinSquare,
     rows = _as_square(square).rows
     n = len(rows)
     h = n // 2  # rows in the bottom band
-    top, bottom, want = _halves(rows)
-    # the bottom partials by key; each is one tuple, its h 1-based
-    # columns followed by its h symbols
-    tails: dict[int, tuple[tuple[int, ...], ...]] = {}
-    for picked, key in bottom:
-        tail = [c + 1 for c in picked]
-        tail += [rows[x][c] for x, c in enumerate(picked, n - h)]
-        tails[key] = tails.get(key, ()) + (tuple(tail),)
+
+    def tail(picked) -> tuple[tuple[int, ...]]:
+        """A bottom partial as one tuple: its h 1-based columns, then its
+        h symbols."""
+        return (tuple([c + 1 for c in picked]
+                      + [rows[x][c] for x, c in enumerate(picked, n - h)]),)
+
     found = []
-    for picked, key in top:
-        matched = tails.get(key ^ want)
-        if matched:
-            cols = tuple([c + 1 for c in picked])
-            values = tuple([rows[x][c] for x, c in enumerate(picked)])
-            found += [Transversal(n, cols + tail[:h], values + tail[h:])
-                      for tail in matched]
+    for picked, tails in _join(rows, tail, ()):
+        cols = tuple([c + 1 for c in picked])
+        values = tuple([rows[x][c] for x, c in enumerate(picked)])
+        found += [Transversal(n, cols + t[:h], values + t[h:]) for t in tails]
     return found
 
 
 def count_transversals(square: LatinSquare) -> int:
     """The number of transversals, found as `find_transversals` finds
     them but counted per key, without building a single Transversal."""
-    top, bottom, want = _halves(_as_square(square).rows)
-    counts: dict[int, int] = {}
-    for _, key in bottom:
-        counts[key] = counts.get(key, 0) + 1
-    return sum(counts.get(key ^ want, 0) for _, key in top)
+    return sum(count for _, count in _join(_as_square(square).rows,
+                                           lambda _: 1, 0))
 
 
 def find_disjoint_transversals(square: LatinSquare, k: int,
@@ -361,9 +360,8 @@ def iter_quasicomplete_mappings(square: LatinSquare) -> Iterator[MappingRecord]:
     or a second value twice; only sigmas that used the repeat are kept.
     """
     rows = _as_square(square).rows
-    n = len(rows)
     return (_classified(rows, tuple([c + 1 for c in picked]))
-            for picked, _ in _transversal_cols(rows, [(1 << n) - 1] * n, repeat=True))
+            for picked, _ in _transversal_cols(rows, repeat=True))
 
 
 def find_quasicomplete_mappings(square: LatinSquare,
@@ -378,5 +376,4 @@ def count_quasicomplete_mappings(square: LatinSquare) -> int:
     `iter_quasicomplete_mappings` but counted without building a single
     MappingRecord."""
     rows = _as_square(square).rows
-    n = len(rows)
-    return sum(1 for _ in _transversal_cols(rows, [(1 << n) - 1] * n, repeat=True))
+    return sum(1 for _ in _transversal_cols(rows, repeat=True))
