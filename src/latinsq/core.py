@@ -94,8 +94,10 @@ def validate(grid) -> ValidationReport:
     LatinSquare / PartialLatinSquare.  The report is empty exactly when
     the grid is a Latin square.  A shape defect is reported alone; else
     the report lists each cell that is neither None nor an int 1..n (row
-    by row), then the count of empty cells, then every symbol repeated
-    among the valid cells of a row, then of a column (symbols ascending).
+    by row: "cell v is not an int" for a bool, float, str or other
+    non-int, "symbol v out of range" for an int), then the count of empty
+    cells, then every symbol repeated among the valid cells of a row,
+    then of a column (symbols ascending).
 
     A Latin square is recognized by one test run in C (cell types first,
     so unhashable or bool cells never reach a set).  The detailed scan
@@ -120,16 +122,19 @@ def validate(grid) -> ValidationReport:
     def symbol(v) -> int | None:
         return int(v) if _is_int(v) and 1 <= v <= n else None
 
+    def fault(r: int, v) -> ValidationIssue:
+        if _is_int(v):
+            return ValidationIssue(
+                "symbol", r, v, f"row {r}: symbol {v!r} out of range for order {n}")
+        return ValidationIssue("symbol", r, None, f"row {r}: cell {v!r} is not an int")
+
     cell_types = {int, type(None)}
     symbols.add(None)
     empties = list(chain.from_iterable(rows)).count(None)
     clean = list(rows)
     for r, row in enumerate(rows, start=1):
         if not (cell_types.issuperset(map(type, row)) and symbols.issuperset(row)):
-            issues += [ValidationIssue(
-                "symbol", r, v if _is_int(v) else None,
-                f"row {r}: symbol {v!r} out of range for order {n}")
-                for v in row if v is not None and symbol(v) is None]
+            issues += [fault(r, v) for v in row if v is not None and symbol(v) is None]
             # Reported cells leave the duplicate scan; the others enter as plain ints.
             clean[r - 1] = list(map(symbol, row))
     if empties:
@@ -469,16 +474,23 @@ def parse_lsq_grid(text: str) -> tuple[tuple[int | None, ...], ...]:
 def format_lsq(grid, comments: Sequence[str] = ()) -> str:
     """Render a square or partial square in canonical LSQ text.
 
-    Each comment becomes one "# " line, so a comment holding a line break
-    (any that str.splitlines splits on) raises DomainError.  A plain grid
-    must be what `parse_lsq_grid` reads back: any shape issue or cell-type
-    issue (symbol None) that `validate` reports raises GridError.
+    comments is a sequence of str, each of which becomes one "# " line;
+    a bare str, an item that is not a str, or a comment holding a line
+    break (any that str.splitlines splits on) raises DomainError.  A
+    plain grid must be what `parse_lsq_grid` reads back: any shape issue
+    or "cell v is not an int" issue that `validate` reports raises
+    GridError, with the issue's text.
     """
     rows = _raw_rows(grid)
-    lines = [f"# {c}" for c in comments]
-    for line in lines:
-        if "".join(line.splitlines()) != line:
-            raise DomainError(f"comment {line[2:]!r} holds a line break")
+    if isinstance(comments, str):
+        raise DomainError(f"comments must be a sequence of str, got {comments!r}")
+    lines = []
+    for c in comments:
+        if not isinstance(c, str):
+            raise DomainError(f"comment {c!r} is not a str")
+        if "".join(c.splitlines()) != c:
+            raise DomainError(f"comment {c!r} holds a line break")
+        lines.append(f"# {c}")
     if not isinstance(grid, (LatinSquare, PartialLatinSquare)):
         bad = [str(i) for i in validate(rows).issues
                if i.kind == "shape" or (i.kind == "symbol" and i.symbol is None)]

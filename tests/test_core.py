@@ -59,9 +59,10 @@ def naive_validate(rows):
         for v in row:
             if v is None:
                 empties += 1
+            elif not (isinstance(v, int) and not isinstance(v, bool)):
+                issues.append(("symbol", r, None, f"row {r}: cell {v!r} is not an int"))
             elif symbol(v) is None:
-                integer = isinstance(v, int) and not isinstance(v, bool)
-                issues.append(("symbol", r, v if integer else None,
+                issues.append(("symbol", r, v,
                                f"row {r}: symbol {v!r} out of range for order {n}"))
     if empties:
         issues.append(("empty", 0, None,
@@ -115,6 +116,7 @@ class TestValidate:
         report = validate([[1, 2], [2, True]])
         assert [(i.kind, i.index, i.symbol) for i in report.issues] == \
             [("symbol", 2, None)]
+        assert str(validate([[True]])) == "row 1: cell True is not an int"
 
     def test_ragged_and_empty_grids(self):
         assert any(i.kind == "shape" for i in validate([[1, 2], [1]]).issues)
@@ -363,6 +365,19 @@ class TestLsqFormat:
     def test_plain_grid_that_does_not_parse_back_rejected(self, grid):
         with pytest.raises(GridError, match="cannot format"):
             format_lsq(grid)
+
+    def test_cell_type_fault_is_worded_as_such(self):
+        with pytest.raises(GridError, match=r"row 1: cell 1\.5 is not an int$"):
+            format_lsq([[1.5]])
+
+    @pytest.mark.parametrize("comments, message", [
+        ("ab", "comments must be a sequence of str, got 'ab'"),
+        ([3], "comment 3 is not a str"),
+        (["ok", None], "comment None is not a str"),
+        ((b"x",), "comment b'x' is not a str")])
+    def test_malformed_comments_rejected(self, comments, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            format_lsq(cyclic_square(2), comments)
 
     def test_comment_parameter(self):
         text = format_lsq(cyclic_square(2), comments=["deleted: 3"])
