@@ -18,7 +18,10 @@ transversal), as are kept rows (`--keep ROW`).  argparse checks every
 integer and permutation flag: a token that is not an LSQ integer gets a
 usage line and exit code 2 before any square is read.  A run builds
 only the parser of the subcommand it names, and `qcmappings --count`
-counts the mappings without building a record for each.
+counts the mappings without building a record for each.  The transversal
+list and count run one meet-in-the-middle join (see latinsq.mappings).
+In `transversals` and `qcmappings`, --limit caps --list output and
+applies only to it: given without --list it is a usage error (exit 2).
 
 Exit codes: 0 success; 1 `verify` found an invalid square; 2 usage,
 parse, or parameter errors; 3 infeasible request (no completion or
@@ -265,10 +268,13 @@ def _list_results(args, find, to_line, count=None) -> int:
     """Shared count/list logic: counts are exact, lists honor --limit.
 
     find(limit) returns the first `limit` results (None = all of them);
-    count(), when given, counts them all without building them.
+    count(), when given, counts them all without building them.  A
+    --limit without --list is an error, after its value is checked.
     """
     limit = _limit(args.limit)
     if args.mode == "count":
+        if args.limit is not None:
+            raise DomainError("--limit applies only to --list")
         print(count() if count else len(find(None)))
         return 0
     items = find(None if limit is None else limit + 1)

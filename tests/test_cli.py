@@ -548,6 +548,18 @@ def test_negative_limit_rejected(capsys, tmp_path, argv):
     assert err == f"error: --limit must be 0 (no limit) or positive, got {argv[-1]}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("transversals", "--limit", "2"),
+    ("transversals", "--count", "--limit", "0"),
+    ("transversals", "--disjoint", "2", "--limit", "1"),
+    ("qcmappings", "--limit", "2"),
+])
+def test_limit_without_list_rejected(capsys, tmp_path, argv):
+    path = write(tmp_path, format_lsq(cyclic_square(5)))
+    code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+    assert (code, out, err) == (2, "", "error: --limit applies only to --list\n")
+
+
 @pytest.mark.parametrize("text, argv, message", [
     (QC4_TEXT, ("prolong", "FILE", "--method", "gen-dd"),
      "--sigma must be given at least once for this method"),
