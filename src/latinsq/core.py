@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -475,14 +476,14 @@ def format_lsq(grid, comments: Sequence[str] = ()) -> str:
     """Render a square or partial square in canonical LSQ text.
 
     comments is a sequence of str, each of which becomes one "# " line;
-    a bare str, an item that is not a str, or a comment holding a line
-    break (any that str.splitlines splits on) raises DomainError.  A
-    plain grid must be what `parse_lsq_grid` reads back: any shape issue
-    or "cell v is not an int" issue that `validate` reports raises
-    GridError, with the issue's text.
+    a bare str, a non-iterable, an item that is not a str, or a comment
+    holding a line break (any that str.splitlines splits on) raises
+    DomainError.  A plain grid must be what `parse_lsq_grid` reads back:
+    any shape issue or "cell v is not an int" issue that `validate`
+    reports raises GridError, with the issue's text.
     """
     rows = _raw_rows(grid)
-    if isinstance(comments, str):
+    if isinstance(comments, str) or not isinstance(comments, Iterable):
         raise DomainError(f"comments must be a sequence of str, got {comments!r}")
     lines = []
     for c in comments:

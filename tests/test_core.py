@@ -372,6 +372,7 @@ class TestLsqFormat:
 
     @pytest.mark.parametrize("comments, message", [
         ("ab", "comments must be a sequence of str, got 'ab'"),
+        (None, "comments must be a sequence of str, got None"),
         ([3], "comment 3 is not a str"),
         (["ok", None], "comment None is not a str"),
         ((b"x",), "comment b'x' is not a str")])
