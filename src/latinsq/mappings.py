@@ -24,13 +24,12 @@ a transversal search that may take one symbol twice.  Counts grow fast,
 so the finders accept a limit; `iter_*` variants yield lazily.  A full
 transversal enumeration (no limit) meets in the middle instead: the row
 search runs once over the bottom half of the rows, folding each partial
-transversal into the entry of its column and symbol masks, and once
-over the top half, whose partials each look up their complement.  That
-join is the same list, in the same order, for far less search.  The
-list and the count run the one join: `find_transversals` keeps a tuple
-of partials per entry, `count_transversals` a count, so it builds no
-result.  A limited or lazy search keeps the plain row search, because
-the join must finish the bottom half before its first result.
+into the entry of its column and symbol masks, and once over the top
+half, whose partials each look up their complement: the same list, in
+the same order, for far less search.  The list and the count run this
+one join, with a tuple of partials or a count as the entry, so
+`count_transversals` builds no result.  A limited or lazy search keeps
+the row search, as the join must finish the bottom half first.
 
 One driver builds disjoint families member by member.  With a limit it
 searches each member with the cells of the earlier members masked out,
@@ -247,9 +246,7 @@ def find_transversals(square: LatinSquare,
     n = len(rows)
     h = n // 2  # rows in the bottom band
 
-    def tail(picked) -> tuple[tuple[int, ...]]:
-        """A bottom partial as one tuple: its h 1-based columns, then its
-        h symbols."""
+    def tail(picked) -> tuple[tuple[int, ...]]:  # h columns, then h symbols
         return (tuple([c + 1 for c in picked]
                       + [rows[x][c] for x, c in enumerate(picked, n - h)]),)
 
@@ -264,8 +261,8 @@ def find_transversals(square: LatinSquare,
 def count_transversals(square: LatinSquare) -> int:
     """The number of transversals, found as `find_transversals` finds
     them but counted per key, without building a single Transversal."""
-    return sum(count for _, count in _join(_as_square(square).rows,
-                                           lambda _: 1, 0))
+    rows = _as_square(square).rows
+    return sum(count for _, count in _join(rows, lambda _: 1, 0))
 
 
 def find_disjoint_transversals(square: LatinSquare, k: int,
