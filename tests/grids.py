@@ -141,6 +141,36 @@ CYCLIC13_TRANSVERSALS = 1_030_367
 # squares of each order).
 EMPTY_COMPLETION_COUNTS = (1, 2, 12, 576)
 
+# The order in which complete_partial lists completions, frozen per corpus
+# group of tests/test_core.py: the empty grid of order n ("empty n"), and
+# the eight seeded isotopes of cyclic_square(n) with 30-60 % of their cells
+# emptied ("isotopes n").  Each group's text joins, grid by grid, the
+# format_lsq text of the completions with no limit, then with limits 1, 2
+# and 5, each under a "# grid i, limit L" comment line.  Value: (number of
+# squares in the text, SHA-256 of the text).
+COMPLETION_ORDER = {
+    "empty 1": (
+        4, "0bc46b1b85c02b86898d671c85eeb77590fd4298e6d2eff3d407fdacd4fdbbd1"),
+    "empty 2": (
+        7, "fc914c9dace915d1943a79fc75705ee7d545f2aed487815b8f582cf76c2bcef7"),
+    "empty 3": (
+        20, "6d7227360869ca39fa443b1c13cc62f131f92b2d74dde114e4bbc06725c389e4"),
+    "empty 4": (
+        584, "f252871b698a8bfa062a37b149d15f3e27c330d8c3d6f193690eea984a08f44f"),
+    "isotopes 1": (
+        32, "f62fe06b368207491a67c1f207a724ad766233c884abdc51c709609bf87207b9"),
+    "isotopes 2": (
+        32, "d57c8975521cc24da6995dfd63839c0cfce06318e47fd127934e31d79f5a657b"),
+    "isotopes 3": (
+        32, "c4855005e0e75e349f450eabb48d4106d4be575dcc3fed67ba5c0cbb4a265894"),
+    "isotopes 4": (
+        32, "c1b7d7492d80764c990af9cc7ee52ddbcf7a2a4179d57c0065ccf9929f95155f"),
+    "isotopes 5": (
+        32, "4a8023b5556411456406dfbcbd0581f0ac68c03ada2c6c841293e0e7adca234c"),
+    "isotopes 6": (
+        53, "43f255d7b1b123fc0761a7705afe1a16d98cef454ea4fa9048211ca5e7f6cda4"),
+}
+
 # Complete provenance maps of the reference constructions, frozen cell by
 # cell.  One string per output row, one token per cell: the letter of the
 # CellOrigin kind followed by its step (no digits when the step is None).

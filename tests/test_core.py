@@ -1,5 +1,6 @@
 """Grid types, validation, completion search, generation, and LSQ I/O."""
 
+import hashlib
 import random
 import re
 from enum import IntEnum
@@ -248,7 +249,32 @@ class TestSquareTypes:
             PartialLatinSquare(((5, None), (None, None)))
 
 
+def isotope_partial(n: int, seed: int) -> list[list[int | None]]:
+    """A seeded isotope of cyclic_square(n) with 30-60 % of its cells emptied."""
+    rng = random.Random(seed)
+    rows, cols, syms = (rng.sample(range(n), n) for _ in range(3))
+    base = cyclic_square(n).rows
+    grid = [[syms[base[r][c] - 1] + 1 for c in cols] for r in rows]
+    cells = [(r, c) for r in range(n) for c in range(n)]
+    for r, c in rng.sample(cells, round(n * n * rng.uniform(0.3, 0.6))):
+        grid[r][c] = None
+    return grid
+
+
 class TestCompletePartial:
+    @pytest.mark.parametrize("group", grids.COMPLETION_ORDER)
+    def test_completion_order_is_frozen(self, group):
+        kind, n = group.split()
+        n = int(n)
+        partials = ([[[None] * n for _ in range(n)]] if kind == "empty"
+                    else [isotope_partial(n, seed) for seed in range(1, 9)])
+        text = "".join(format_lsq(sq, [f"grid {i}, limit {limit}"])
+                       for i, grid in enumerate(partials, start=1)
+                       for limit in (None, 1, 2, 5)
+                       for sq in complete_partial(grid, limit))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert (text.count("# grid "), digest) == grids.COMPLETION_ORDER[group]
+
     def test_full_square_completes_to_itself(self):
         sq = cyclic_square(4)
         assert complete_partial(sq) == [sq]
