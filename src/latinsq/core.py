@@ -6,9 +6,10 @@ Cayley table it is the multiplication table of a quasigroup: cell (r, c)
 holds r * c.  Rows, columns and symbols are 1-based in every public
 interface; order 0 is rejected everywhere.
 
-A partial square may leave cells empty; the completion solver enumerates
-all ways to fill them (backtracking, most-constrained cell first, so the
-enumeration order is deterministic and reproducible).
+A partial square may leave cells empty; the completion solver, a
+recursive generator cut by islice, yields every way to fill them
+(backtracking, most-constrained cell first, so the enumeration order is
+deterministic and reproducible).
 
 The LSQ text format used by the CLI and by files on disk:
 
@@ -27,9 +28,9 @@ from __future__ import annotations
 
 import random
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Sequence
 
 
@@ -240,14 +241,15 @@ class PartialLatinSquare:
 def complete_partial(partial, limit: int | None = None) -> list[LatinSquare]:
     """Enumerate all Latin squares extending the given partial square.
 
-    Backtracking over empty cells, always branching on a cell with the
-    fewest admissible symbols (ties broken row-major) and trying symbols
-    in ascending order, so repeated calls enumerate completions in the
-    same deterministic order.  Returns at most `limit` squares when a
-    limit is given; an empty list means no completion exists.  The search
-    recurses once per empty cell, so at Python's default recursion limit
-    about 1,000 empty cells raise RecursionError, and it is exponential
-    on grids such as the empty 32 x 32 one (ROADMAP.md, Open item 1).
+    A recursive generator backtracks over the empty cells, branching on
+    a cell with the fewest admissible symbols (ties broken row-major) and
+    trying symbols in ascending order, so repeated calls enumerate
+    completions in the same deterministic order; islice takes the first
+    `limit` it yields (None = all), so the search stops there.  An empty
+    list means no completion exists.  The generator recurses once per
+    empty cell, so at Python's default recursion limit about 1,000 empty
+    cells raise RecursionError, and it is exponential on grids such as
+    the empty 32 x 32 one (ROADMAP.md, Open item 1).
     """
     if not isinstance(partial, PartialLatinSquare):
         partial = PartialLatinSquare(_raw_rows(partial))
@@ -269,8 +271,6 @@ def complete_partial(partial, limit: int | None = None) -> list[LatinSquare]:
                 row_used[r] |= bit
                 col_used[c] |= bit
 
-    results: list[LatinSquare] = []
-
     def pick() -> tuple[int, int, int] | None:
         best = None
         best_count = n + 1
@@ -285,11 +285,11 @@ def complete_partial(partial, limit: int | None = None) -> list[LatinSquare]:
                     break
         return best
 
-    def search() -> bool:
+    def search() -> Iterator[LatinSquare]:
         cell = pick()
         if cell is None:
-            results.append(LatinSquare(tuple(tuple(row) for row in grid)))
-            return limit is not None and len(results) >= limit
+            yield LatinSquare(tuple(tuple(row) for row in grid))
+            return
         r, c, cand = cell
         while cand:
             bit = cand & -cand
@@ -297,16 +297,12 @@ def complete_partial(partial, limit: int | None = None) -> list[LatinSquare]:
             grid[r][c] = bit.bit_length()
             row_used[r] |= bit
             col_used[c] |= bit
-            done = search()
+            yield from search()
             row_used[r] &= ~bit
             col_used[c] &= ~bit
             grid[r][c] = None
-            if done:
-                return True
-        return False
 
-    search()
-    return results
+    return list(islice(search(), limit))
 
 
 def cyclic_square(order: int) -> LatinSquare:
