@@ -327,6 +327,8 @@ def random_square(order: int, seed: int) -> LatinSquare:
     """
     if not (_is_int(order) and order >= 1):
         raise DomainError(f"order must be a positive int, got {order!r}")
+    if not _is_int(seed):
+        raise DomainError(f"seed must be an int, got {seed!r}")
     rng = random.Random(seed)
     n = order
     full = (1 << n) - 1

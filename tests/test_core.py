@@ -327,6 +327,12 @@ class TestGeneration:
             with pytest.raises(DomainError, match="order must be a positive int"):
                 random_square(order, 1)
 
+    def test_random_square_rejects_a_seed_that_is_not_an_int(self):
+        for seed in (None, 1.5, True, "1"):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"seed must be an int, got {seed!r}")):
+                random_square(3, seed)
+
     def test_random_square_is_deterministic(self):
         assert random_square(5, 42) == random_square(5, 42)
         assert random_square(6, 1) != random_square(6, 2)
