@@ -167,6 +167,8 @@ class ConstructionReport:
         prov = self.provenance
         if isinstance(prov, _Provenance):
             covered = len(prov._rows) == m and set(map(len, prov._rows)) == {m}
+        elif not isinstance(prov, Mapping):
+            raise DomainError(f"provenance must be a mapping, got {prov!r}")
         else:
             span = range(1, m + 1)
             covered = set(prov) == {(r, c) for r in span for c in span}
@@ -222,6 +224,16 @@ def _kept_row(rec: MappingRecord, kept_x: int | None) -> int:
     return kept_x
 
 
+def _listed(items, what: str, pairs: bool = False) -> list:
+    """`items` as a list, each item unpacked into a pair when `pairs`; a
+    non-iterable, or an item that is not a pair, raises DomainError."""
+    try:
+        return [(a, b) for a, b in items] if pairs else list(items)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be a sequence{' of pairs' if pairs else ''}, "
+                          f"got {items!r}") from None
+
+
 def _check_disjoint(picks: Sequence[Sequence[int]], what: str) -> None:
     seen: dict[tuple[int, int], int] = {}
     for j, cols in enumerate(picks, start=1):
@@ -254,7 +266,7 @@ def _project(square: LatinSquare, objs, fill, col_assign, row_assign,
     k = len(objs)
     if not 1 <= k <= n:
         raise DomainError(f"need between 1 and {n} parameter objects, got {k}")
-    fill = tuple(range(n + 1, n + k + 1) if fill is None else fill)
+    fill = tuple(range(n + 1, n + k + 1) if fill is None else _listed(fill, "fill"))
     if not all(map(_is_int, fill)) or sorted(fill) != list(range(n + 1, n + k + 1)):
         raise DomainError(
             f"fill must be a bijection onto {n + 1}..{n + k}, got {fill}")
@@ -339,7 +351,7 @@ def prolong_disjoint(square, transversals, fill=None, col_assign=None,
     """
     square = _as_square(square)
     n = square.order
-    objs = [_transversal_obj(square, t) for t in transversals]
+    objs = [_transversal_obj(square, t) for t in _listed(transversals, "transversals")]
     grid, prov, _ = _project(square, objs, fill, col_assign, row_assign)
     block = CellOrigin("border_fill")
     for i, row in enumerate(_check_bottom(bottom, n, len(objs)), start=n):
@@ -351,8 +363,11 @@ def prolong_disjoint(square, transversals, fill=None, col_assign=None,
 def _check_bottom(bottom, n: int, k: int) -> tuple[tuple[int, ...], ...]:
     if bottom is None:
         return tuple(tuple(v + n for v in row) for row in cyclic_square(k).rows)
-    rows = tuple(tuple(row) for row in bottom)
-    if len(rows) != k or any(len(r) != k for r in rows):
+    try:
+        rows = tuple(tuple(row) for row in bottom)
+    except TypeError:
+        rows = None
+    if rows is None or len(rows) != k or any(len(r) != k for r in rows):
         raise DomainError(f"bottom block must be {k}x{k}")
     try:
         LatinSquare(tuple(tuple(v - n for v in row) for row in rows))
@@ -396,7 +411,7 @@ def prolong_belyavskaya_gen(square, pairs, fill=None, col_assign=None,
     # a list cell reads as a tuple in the error, as a tuple cell does
     objs = [_excepting(_transversal_obj(square, t),
                        tuple(e) if isinstance(e, Iterable) else e, "its transversal")
-            for t, e in pairs]
+            for t, e in _listed(pairs, "pairs", pairs=True)]
     grid, prov, _ = _project(square, objs, fill, col_assign, row_assign)
     return _complete_reports(grid, prov, limit)
 
@@ -442,7 +457,8 @@ def prolong_dd_gen(square, pairs, fill=None, col_assign=None, row_assign=None,
     per completion (at most `limit`); empty list if none exists.
     """
     square = _as_square(square)
-    objs = [_quasicomplete_obj(square, m, kx) for m, kx in pairs]
+    objs = [_quasicomplete_obj(square, m, kx)
+            for m, kx in _listed(pairs, "pairs", pairs=True)]
     grid, prov, crossings = _project(square, objs, fill, col_assign, row_assign,
                                      border=False, what="mappings")
     if seed_diagonal:

@@ -389,8 +389,9 @@ def _check_limit(limit: int | None) -> None:
 
 
 def _check_perm(perm, n: int, what: str) -> list[int]:
-    perm = list(perm)
-    if not all(map(_is_int, perm)) or sorted(perm) != list(range(1, n + 1)):
+    perm = list(perm) if isinstance(perm, Iterable) else perm
+    if not (isinstance(perm, list) and all(map(_is_int, perm))
+            and sorted(perm) == list(range(1, n + 1))):
         raise DomainError(f"{what} must be a permutation of 1..{n}, got {perm}")
     return perm
 
@@ -440,8 +441,11 @@ def parse_lsq_grid(text: str) -> tuple[tuple[int | None, ...], ...]:
 
     Checks line structure (order header, row/token counts, integer
     tokens) and reports problems with 1-based line numbers; symbol
-    ranges and duplicates are left to `validate`.
+    ranges and duplicates are left to `validate`.  Text that is not a str
+    raises GridError.
     """
+    if not isinstance(text, str):
+        raise GridError(f"LSQ text must be a str, got {type(text).__name__}")
     significant: list[tuple[int, list[str]]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()

@@ -24,6 +24,7 @@ from latinsq import (
     find_quasicomplete_mappings,
     find_transversals,
     is_latin,
+    parse_lsq,
     permuted,
     prolong_belyavskaya,
     prolong_belyavskaya_gen,
@@ -640,6 +641,42 @@ class TestReportPlumbing:
         moved = permuted(rep.output, row_perm=(4, 1, 2, 3), col_perm=(4, 1, 2, 3))
         assert moved.cell(1, 1) == 4
         assert is_latin(moved)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: transversal_of(CYC3, 5), DomainError,
+                 "transversal must be a permutation of 1..3, got 5",
+                 id="transversal_of"),
+    pytest.param(lambda: conjugated_mapping(CYC3, None), DomainError,
+                 "sigma must be a permutation of 1..3, got None",
+                 id="conjugated_mapping"),
+    pytest.param(lambda: permuted(CYC3, 5), DomainError,
+                 "row permutation must be a permutation of 1..3, got 5",
+                 id="permuted"),
+    pytest.param(lambda: two_step(CYC3, (1, 2, 3), None), DomainError,
+                 "transversal must be a permutation of 1..3, got None", id="two_step"),
+    pytest.param(lambda: prolong_disjoint(CYC3, None), DomainError,
+                 "transversals must be a sequence, got None", id="disjoint"),
+    pytest.param(lambda: prolong_disjoint(CYC3, [(1, 2, 3)], fill=5), DomainError,
+                 "fill must be a sequence, got 5", id="disjoint-fill"),
+    pytest.param(lambda: prolong_disjoint(CYC3, [(1, 2, 3)], bottom=5), DomainError,
+                 "bottom block must be 1x1", id="disjoint-bottom"),
+    pytest.param(lambda: prolong_disjoint(CYC3, [(1, 2, 3)], col_assign=5), DomainError,
+                 "col_assign must be a permutation of 1..1, got 5",
+                 id="disjoint-col_assign"),
+    pytest.param(lambda: prolong_belyavskaya_gen(CYC3, [(1, 2, 3)]), DomainError,
+                 "pairs must be a sequence of pairs, got [(1, 2, 3)]",
+                 id="belyavskaya_gen"),
+    pytest.param(lambda: prolong_dd_gen(QC4, [(1, 3, 2, 4)]), DomainError,
+                 "pairs must be a sequence of pairs, got [(1, 3, 2, 4)]", id="dd_gen"),
+    pytest.param(lambda: ConstructionReport(CYC3, None), DomainError,
+                 "provenance must be a mapping, got None", id="report"),
+    pytest.param(lambda: parse_lsq(b"1\n1\n"), GridError,
+                 "LSQ text must be a str, got bytes", id="parse_lsq"),
+])
+def test_malformed_argument_container(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def _only(reports):
