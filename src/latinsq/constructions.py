@@ -506,7 +506,7 @@ def two_step(square, t1, t2, first: str = "bruck", excepted=None,
     if rec2.kind == "complete":
         x2 = None
     elif rec2.kind == "quasicomplete":
-        x2 = _kept_row(rec2, kept_choice if kept_choice is not None else n + 1)
+        x2 = _kept_row(rec2, kept_choice)
     else:  # impossible for disjoint transversals
         raise LatinError("two-step invariant violated: sigma2 is neither "
                          "complete nor quasicomplete")
