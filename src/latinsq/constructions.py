@@ -478,11 +478,13 @@ def two_step(square, t1, t2, first: str = "bruck", excepted=None,
     against the intermediate square.  Because t1 and t2 are disjoint,
     sigma2 is complete after a Bruck step 1 (step 2: a Bruck step) and
     quasicomplete after a Belyavskaya one (step 2: a DD step keeping row
-    kept_choice, default n+1).  A cell step 2 leaves unchanged keeps its
-    step-1 origin; step 2's own cells are labelled step 2.  The report's
-    `intermediate` field carries sigma2's classification record.
-    excepted and kept_choice apply only to a belyavskaya first step;
-    passing either with first="bruck" raises DomainError.
+    kept_choice, default n+1: row n+1 reads step 1's corner, a symbol t2
+    already holds, so n+1 always ends the duplicate pair).  A cell step 2
+    leaves unchanged keeps its step-1 origin; step 2's own cells are
+    labelled step 2.  The report's `intermediate` field carries sigma2's
+    classification record.  excepted and kept_choice apply only to a
+    belyavskaya first step; passing either with first="bruck" raises
+    DomainError.
     """
     square = _as_square(square)
     obj1 = _transversal_obj(square, t1)
