@@ -631,3 +631,38 @@ def test_integer_flags_take_only_lsq_tokens(capsys, tmp_path, text, argv,
     assert (code, out) == (2, "")
     assert repr(bad) in err
     assert f"argument {argv[argv.index('TOKEN') - 1]}: " in err
+
+
+@pytest.mark.parametrize("first", ["forward", "reversed"])
+def test_repeated_runs_give_the_same_bytes(capsys, tmp_path, first):
+    """Every argv gives the same stdout, stderr and exit code each time it
+    runs in one process, whichever argvs ran before it."""
+    cyc3 = write(tmp_path, CYC3_TEXT)
+    qc4 = write(tmp_path, QC4_TEXT, name="qc4.lsq")
+    bruck4 = write(tmp_path, BRUCK4_TEXT, name="bruck4.lsq")
+    partial = write(tmp_path, "3\n1 2 .\n. 3 1\n3 . 2\n", name="partial.lsq")
+    argvs = [["--help"], [], ["frobnicate"]]
+    for command in COMMAND_HELP:
+        argvs += [[command, "--help"], [command, *NON_LSQ_INTEGER[command]]]
+    argvs += [
+        ["verify", cyc3],
+        ["verify", partial],
+        ["gen", "--order", "5", "--seed", "2"],
+        ["complete", partial, "--all"],
+        ["transversals", cyc3, "--list"],
+        ["transversals", cyc3, "--limit", "2"],
+        ["qcmappings", qc4, "--list", "--limit", "3"],
+        ["prolong", cyc3, "--method", "bruck", "--transversal", "3 1 2",
+         "--sigma", "1 2 3"],
+        ["prolong", cyc3, "--method", "disjoint",
+         "--transversal", "1 2 3", "--transversal", "2 3 1"],
+        ["prolong", qc4, "--method", "gen-dd", "--sigma", "1 3 2 4",
+         "--sigma", "2 1 4 3", "--no-diag-seed", "--limit", "0"],
+        ["contract", bruck4, "--method", "bruck", "--deleted", "4"],
+    ]
+    if first == "reversed":
+        argvs.reverse()
+    first_pass = [run_cli(capsys, *argv) for argv in argvs]
+    assert {code for code, _, _ in first_pass} == {0, 1, 2}
+    assert [run_cli(capsys, *argv) for argv in argvs[::-1]] == first_pass[::-1]
+    assert [run_cli(capsys, *argv) for argv in argvs] == first_pass
