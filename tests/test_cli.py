@@ -666,3 +666,5 @@ def test_repeated_runs_give_the_same_bytes(capsys, tmp_path, first):
     assert {code for code, _, _ in first_pass} == {0, 1, 2}
     assert [run_cli(capsys, *argv) for argv in argvs[::-1]] == first_pass[::-1]
     assert [run_cli(capsys, *argv) for argv in argvs] == first_pass
+    for command in [None, *cli._COMMANDS]:
+        assert cli.build_parser(command) is cli.build_parser(command)
