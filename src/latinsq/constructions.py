@@ -102,7 +102,7 @@ class CellOrigin:
     step: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ORIGIN_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in ORIGIN_KINDS:
             raise DomainError(f"unknown origin kind {self.kind!r}")
         if not (self.step is None or _is_int(self.step) and self.step >= 1):
             raise DomainError(

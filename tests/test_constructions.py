@@ -636,6 +636,12 @@ class TestReportPlumbing:
             with pytest.raises(DomainError):
                 CellOrigin(kind, step)
 
+    @pytest.mark.parametrize("kind", ["teleported", ["kept"], {"k": 1}])
+    def test_unknown_origin_kind_is_named(self, kind):
+        message = re.escape(f"unknown origin kind {kind!r}")
+        with pytest.raises(DomainError, match=message):
+            CellOrigin(kind, 1)
+
     def test_appended_rows_can_be_moved_afterwards(self):
         rep = prolong_bruck(CYC3, grids.T_BLUE)
         moved = permuted(rep.output, row_perm=(4, 1, 2, 3), col_perm=(4, 1, 2, 3))
