@@ -18,8 +18,9 @@ transversal), as are kept rows (`--keep ROW`).  argparse checks every
 integer and permutation flag: a token that is not an LSQ integer gets a
 usage line and exit code 2 before any square is read.  A run uses only
 the parser of the subcommand it names; each parser is built on first
-use, once per process, and then shared by later runs, so a one-shot
-console run still builds only its own subparser.  `qcmappings --count`
+use, once per process, and then shared by later runs in that process.
+Only repeated in-process `run` calls gain from this: a one-shot console
+run still builds only its own subparser, once.  `qcmappings --count`
 counts the mappings without building a record for each.  The transversal
 list and count run one meet-in-the-middle join (see latinsq.mappings).
 In `transversals` and `qcmappings`, --limit caps --list output and
@@ -47,7 +48,7 @@ def main() -> None:
 
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0]) if argv and argv[0] in _COMMANDS else build_parser()
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits itself on --help and usage errors
@@ -62,16 +63,22 @@ def run(argv=None) -> int:
         return 3
 
 
-@cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or only of `command`: a subcommand's
     help and usage errors come from its own subparser, so both parsers give
     the same bytes for an argv that starts with its name.
 
-    Each parser is built on first use, once per process, and then shared
-    by every later call (argparse keeps no state between parse_args
-    calls), so callers must not mutate it.  A one-shot console run still
-    builds only the parser of the subcommand it names."""
+    Each parser is built on first use, once per process whatever the call
+    form (`build_parser()`, `build_parser(None)`, `command=...`), and then
+    shared by every later call (argparse keeps no state between
+    parse_args calls), so callers must not mutate it.  Only repeated
+    in-process calls gain from this: a one-shot console run builds only
+    the parser of the subcommand it names, once."""
+    return _parser(command)
+
+
+@cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latinsq",
         description="Latin square prolongations, contractions, and the "

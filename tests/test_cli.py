@@ -667,4 +667,5 @@ def test_repeated_runs_give_the_same_bytes(capsys, tmp_path, first):
     assert [run_cli(capsys, *argv) for argv in argvs[::-1]] == first_pass[::-1]
     assert [run_cli(capsys, *argv) for argv in argvs] == first_pass
     for command in [None, *cli._COMMANDS]:
-        assert cli.build_parser(command) is cli.build_parser(command)
+        assert cli.build_parser(command) is cli.build_parser(command=command)
+    assert cli.build_parser() is cli.build_parser(None)
