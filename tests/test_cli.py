@@ -522,6 +522,13 @@ class TestParser:
             assert full[1 if full[0] == 0 else 2].startswith("usage: latinsq"), argv
             assert parse_bytes(capsys, cli.build_parser(command), argv) == full, argv
 
+    def test_a_one_shot_run_builds_only_its_own_parser(self, capsys, tmp_path):
+        cli._parser.cache_clear()
+        assert run_cli(capsys, "verify", write(tmp_path, CYC3_TEXT))[0] == 0
+        assert cli._parser.cache_info().currsize == 1
+        cli.build_parser("verify")
+        assert cli._parser.cache_info().hits == 1
+
     def test_run_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.argv", ["latinsq", "verify", "-"])
         monkeypatch.setattr("sys.stdin", io.StringIO(CYC3_TEXT))
