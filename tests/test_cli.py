@@ -514,20 +514,20 @@ class TestParser:
         assert [a.dest for a in sub._choices_actions] == list(COMMAND_HELP)
 
     @pytest.mark.parametrize("command", COMMAND_HELP)
-    def test_one_command_parser_gives_the_same_bytes(self, capsys, command):
+    def test_subcommand_help_and_usage_errors_name_latinsq(self, capsys, command):
         for rest in (["--help"], ["--bogus"], [], NON_LSQ_INTEGER[command]):
             argv = [command, *rest]
-            full = parse_bytes(capsys, cli.build_parser(), argv)
-            assert full[0] == (0 if rest == ["--help"] else 2), argv
-            assert full[1 if full[0] == 0 else 2].startswith("usage: latinsq"), argv
-            assert parse_bytes(capsys, cli.build_parser(command), argv) == full, argv
+            code, out, err = parse_bytes(capsys, cli.build_parser(), argv)
+            assert code == (0 if rest == ["--help"] else 2), argv
+            assert (out if code == 0 else err).startswith("usage: latinsq"), argv
 
-    def test_a_one_shot_run_builds_only_its_own_parser(self, capsys, tmp_path):
-        cli._parser.cache_clear()
-        assert run_cli(capsys, "verify", write(tmp_path, CYC3_TEXT))[0] == 0
-        assert cli._parser.cache_info().currsize == 1
-        cli.build_parser("verify")
-        assert cli._parser.cache_info().hits == 1
+    def test_runs_share_one_parser_built_once(self, capsys, tmp_path):
+        cli.build_parser.cache_clear()
+        cyc3 = write(tmp_path, CYC3_TEXT)
+        codes = [run_cli(capsys, *argv)[0] for argv in (
+            ["verify", cyc3], ["transversals", cyc3], ["--help"], ["frobnicate"])]
+        assert codes == [0, 0, 0, 2]
+        assert cli.build_parser.cache_info().misses == 1
 
     def test_run_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.argv", ["latinsq", "verify", "-"])
@@ -673,6 +673,4 @@ def test_repeated_runs_give_the_same_bytes(capsys, tmp_path, first):
     assert {code for code, _, _ in first_pass} == {0, 1, 2}
     assert [run_cli(capsys, *argv) for argv in argvs[::-1]] == first_pass[::-1]
     assert [run_cli(capsys, *argv) for argv in argvs] == first_pass
-    for command in [None, *cli._COMMANDS]:
-        assert cli.build_parser(command) is cli.build_parser(command=command)
-    assert cli.build_parser() is cli.build_parser(None)
+    assert cli.build_parser() is cli.build_parser()
