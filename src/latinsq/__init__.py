@@ -54,6 +54,7 @@ from .mappings import (
     MappingRecord,
     Transversal,
     conjugated_mapping,
+    count_disjoint_families,
     count_quasicomplete_mappings,
     count_transversals,
     find_disjoint_transversals,
@@ -83,6 +84,7 @@ __all__ = [
     "conjugated_mapping",
     "contract_bruck",
     "contract_except",
+    "count_disjoint_families",
     "count_quasicomplete_mappings",
     "count_transversals",
     "cyclic_square",

@@ -20,9 +20,10 @@ usage line and exit code 2 before any square is read.  One parser
 serves every subcommand: it is built on first use, once per process,
 and then shared by later runs in that process.  Building it takes 1-2
 ms (one subparser alone would take 0.2-0.6 ms), which leaves a console
-run's wall time unchanged within noise.  `qcmappings --count`
-counts the mappings without building a record for each.  The transversal
-list and count run one meet-in-the-middle join (see latinsq.mappings).
+run's wall time unchanged within noise.  Every --count counts without
+building a result: the transversal and quasicomplete lists and counts
+run one meet-in-the-middle join, and families are counted on bitsets
+(see latinsq.mappings).
 In `transversals` and `qcmappings`, --limit caps --list output and
 applies only to it: given without --list it is a usage error (exit 2).
 
@@ -296,7 +297,8 @@ def _cmd_transversals(args) -> int:
     return _list_results(
         args,
         lambda cap: mappings.find_disjoint_transversals(sq, k, limit=cap),
-        lambda fam: " ; ".join(_fmt_perm(t.cols) for t in fam))
+        lambda fam: " ; ".join(_fmt_perm(t.cols) for t in fam),
+        lambda: mappings.count_disjoint_families(sq, k))
 
 
 def _cmd_qcmappings(args) -> int:

@@ -22,19 +22,21 @@ mappings: backtracking with column/symbol bitmasks on an explicit stack,
 never recursive, in lexicographic sigma order; a quasicomplete search is
 a transversal search that may take one symbol twice.  Counts grow fast,
 so the finders accept a limit; `iter_*` variants yield lazily.  A full
-transversal enumeration (no limit) meets in the middle instead: the row
-search runs once over the bottom half of the rows, folding each partial
-into the entry of its column and symbol masks, and once over the top
-half, whose partials each look up their complement: the same list, in
-the same order, for far less search.  The list and the count run this
-one join, with a tuple of partials or a count as the entry, so
-`count_transversals` builds no result.  A limited or lazy search keeps
-the row search, as the join must finish the bottom half first.
+enumeration of transversals or quasicomplete mappings (no limit) meets
+in the middle instead: the row search runs once over the bottom half of
+the rows, filing each partial under its column and symbol masks, and
+once over the top half, whose partials each look up their complements:
+the same list, in the same order, for far less search.  The list and
+the count run this one join, with the partials or their number as the
+entry, so `count_transversals` and `count_quasicomplete_mappings` build
+no result.  A limited or lazy search keeps the row search, as the join
+must finish the bottom half first.
 
 One driver builds disjoint families member by member.  With a limit it
 searches each member with the cells of the earlier members masked out,
 so it stops at the first families; without one it draws the members
-from a single list of every transversal.
+from a single list of every transversal.  `count_disjoint_families`
+counts them on bitsets of that list instead, building no family.
 
 Every function takes a LatinSquare or a plain grid that forms one; any
 other grid raises GridError.
@@ -43,8 +45,10 @@ other grid raises GridError.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .core import (DomainError, LatinSquare, _as_square, _check_limit,
@@ -142,11 +146,11 @@ def _transversal_cols(rows, allowed: list[int] | None = None,
     column mask of the picked cells ORed with their symbol mask shifted
     up by the width n of the rows.
 
-    With repeat, yield instead the picks that take exactly one symbol
-    twice (the quasicomplete mappings).  The repeat is a spare bit above
-    the n symbol bits of vals_used; a transversal search starts with it
-    set, so no symbol is taken twice and every full pick is yielded.  The
-    spare bit is part of the key, as bit 2n.
+    With repeat, a pick may also take one symbol twice (a full one that
+    does is a quasicomplete mapping).  The repeat is a spare bit above the
+    n symbol bits of vals_used; a transversal search starts with it set,
+    so no symbol is taken twice.  The spare bit is part of the key, as bit
+    2n: with repeat it says whether the pick took a symbol twice.
 
     The one list yielded is updated in place; copy it to keep it.  The
     search runs on an explicit stack, one level per row, so no order can
@@ -182,9 +186,7 @@ def _transversal_cols(rows, allowed: list[int] | None = None,
             vbit = spare
         picked[x] = c
         if x == last:
-            vals |= vbit
-            if vals >= spare:
-                yield picked, cols_used[x] | bit | vals << n
+            yield picked, cols_used[x] | bit | (vals | vbit) << n
             continue
         x += 1
         cols_used[x] = used = cols_used[x - 1] | bit
@@ -203,31 +205,81 @@ def iter_transversals(square: LatinSquare) -> Iterator[Transversal]:
     return (_transversal(rows, picked) for picked, _ in _transversal_cols(rows))
 
 
-def _join(rows, item, empty):
-    """Meet in the middle over every transversal of the square rows.
+def _join(rows, repeat: bool = False, count: bool = False):
+    """Meet in the middle over every transversal of the square rows, or
+    with repeat over every quasicomplete mapping.
 
     The rows split into a top band of ceil(n/2) rows and a bottom band of
-    the rest.  Each partial transversal of the bottom band is folded into
-    the entry of its key with +: entry = empty + item(picks) + ...  Then
-    each partial of the top band whose complement key has an entry is
-    yielded as (picks, entry).  Both bands come in lexicographic order,
-    so a top pick followed by its entry's bottom picks, in the order they
-    came, is lexicographic too.  The picks list is updated in place.
+    the h others.  Each partial pick of the bottom band goes into the
+    entry of its key: the tuple of its tails (its h 1-based columns, then
+    its h symbols), in the order they came.  Each top partial then looks
+    up the keys of the bottom partials that complete it, and is yielded
+    with what it found.  The picks list is updated in place.
+
+    A transversal's top has one complement, the columns and symbols it
+    misses, and is yielded as (picks, tails).  A quasicomplete top is
+    yielded as (picks, [(special, tails), ...]), one pair for each key
+    with an entry.  A quasicomplete mapping misses one symbol, special,
+    which its top misses too.  With M the symbols the top misses, the
+    bottom takes the other columns and is
+      - a plain pick on M less special, if the top took a symbol twice;
+      - otherwise a pick on M less special that took a symbol twice,
+      - or a plain pick on M less special plus one symbol the top took.
+    Both bands come in lexicographic order, so a top pick followed by the
+    tails it found, merged, is lexicographic too.
+
+    With count, each entry is the number of its bottom partials, and the
+    top partials are tabled by key too: each distinct key is yielded once,
+    as (its number of top partials, the number of bottoms completing
+    one).  A bottom that took a symbol twice is also counted under its
+    key without the spare bit, and a plain one under its key less each of
+    its symbols.  The entry of a plain top's M less special then counts
+    the second and third kinds of bottom above, and also the plain picks
+    on M itself, which are taken off once per special.
     """
     n = len(rows)
     split = (n + 1) // 2
-    table = {}
+    spare = 1 << 2 * n
+    want = spare - 1
+    sym_bits = [1 << i for i in range(n, 2 * n)]  # the symbols' bits in a key
     # order 1: the bottom band is empty, with one partial of empty key
-    bottom = _transversal_cols(rows[split:]) if split < n else [([], 1 << 2 * n)]
-    for picked, key in bottom:
-        table[key] = table.get(key, empty) + item(picked)
-    # both keys carry the spare bit 2n; XOR flips the 2n column and
-    # symbol bits below it
-    want = (1 << 2 * n) - 1
-    for picked, key in _transversal_cols(rows[:split]):
-        entry = table.get(key ^ want)
-        if entry:
-            yield picked, entry
+    bottom = (_transversal_cols(rows[split:], repeat=repeat) if split < n
+              else [([], 0 if repeat else spare)])
+    top = _transversal_cols(rows[:split], repeat=repeat)
+    if count:
+        table = Counter(map(itemgetter(1), bottom))
+        if repeat:
+            for key, k in list(table.items()):
+                for less in ([key ^ spare] if key >= spare
+                             else [key ^ b for b in sym_bits if key & b]):
+                    table[less] = table.get(less, 0) + k
+        tops = Counter(map(itemgetter(1), top))
+        top = zip(tops.values(), tops)
+    else:
+        table = {}
+        for picked, key in bottom:
+            tail = tuple([c + 1 for c in picked]
+                         + [rows[x][c] for x, c in enumerate(picked, split)])
+            table[key] = table.get(key, ()) + (tail,)
+    get = table.get
+    for picks, key in top:
+        if not repeat:  # both keys carry the spare bit, and XOR flips the rest
+            entry = get(key ^ want)
+            if entry:
+                yield picks, entry
+            continue
+        base = ~key & want  # the columns and symbols the top misses
+        if count:
+            found = sum([get(base ^ m, 0) for m in sym_bits if base & m])
+            if key < spare:  # each lookup also counted the plain picks on M
+                found -= (n - split) * get(base, 0)
+        else:
+            others = ([0] if key >= spare
+                      else [spare] + [b for b in sym_bits if key & b])
+            found = [((m >> n).bit_length(), e) for m in sym_bits if base & m
+                     for b in others if (e := get(base ^ m | b))]
+        if found:
+            yield picks, found
 
 
 def find_transversals(square: LatinSquare,
@@ -245,13 +297,8 @@ def find_transversals(square: LatinSquare,
     rows = _as_square(square).rows
     n = len(rows)
     h = n // 2  # rows in the bottom band
-
-    def tail(picked) -> tuple[tuple[int, ...]]:  # h columns, then h symbols
-        return (tuple([c + 1 for c in picked]
-                      + [rows[x][c] for x, c in enumerate(picked, n - h)]),)
-
     found = []
-    for picked, tails in _join(rows, tail, ()):
+    for picked, tails in _join(rows):
         cols = tuple([c + 1 for c in picked])
         values = tuple([rows[x][c] for x, c in enumerate(picked)])
         found += [Transversal(n, cols + t[:h], values + t[h:]) for t in tails]
@@ -262,7 +309,7 @@ def count_transversals(square: LatinSquare) -> int:
     """The number of transversals, found as `find_transversals` finds
     them but counted per key, without building a single Transversal."""
     rows = _as_square(square).rows
-    return sum(count for _, count in _join(rows, lambda _: 1, 0))
+    return sum(tops * bottoms for tops, bottoms in _join(rows, count=True))
 
 
 def find_disjoint_transversals(square: LatinSquare, k: int,
@@ -284,11 +331,58 @@ def find_disjoint_transversals(square: LatinSquare, k: int,
     faster when every family is wanted.
     """
     square = _as_square(square)
-    n = square.order
-    if not (_is_int(k) and 1 <= k <= n):
-        raise DomainError(f"family size must be in 1..{n}, got {k!r}")
+    _check_family_size(k, square.order)
     _check_limit(limit)
     return list(islice(_families(square, k, limit is None), limit))
+
+
+def _check_family_size(k, n: int) -> None:
+    if not (_is_int(k) and 1 <= k <= n):
+        raise DomainError(f"family size must be in 1..{n}, got {k!r}")
+
+
+def count_disjoint_families(square: LatinSquare, k: int) -> int:
+    """The number of families `find_disjoint_transversals` lists, counted
+    on bitsets without building a single family.
+
+    Transversal i of the one full list is bit i, and each cell holds the
+    bitset of the transversals through it.  later[i] is the bitset of the
+    transversals above i that pass through none of i's cells.  A family's
+    next member is any bit of the AND of its members' later sets, so the
+    search runs over those bits on an explicit stack, and counts the
+    choices of each family's last member with one popcount.
+    """
+    square = _as_square(square)
+    n = square.order
+    _check_family_size(k, n)
+    pool = find_transversals(square)
+    if k == 1:
+        return len(pool)
+    cells = [0] * (n * n)
+    for i, t in enumerate(pool):
+        for x, c in enumerate(t.cols):
+            cells[x * n + c - 1] |= 1 << i
+    everyone = (1 << len(pool)) - 1
+    later = []
+    for i, t in enumerate(pool):
+        meets = 0
+        for x, c in enumerate(t.cols):
+            meets |= cells[x * n + c - 1]
+        later.append((everyone ^ meets) & -(2 << i))
+    count = 0
+    stack = [(everyone, k)]  # a family's candidates, and the members it needs
+    while stack:
+        candidates, needed = stack.pop()
+        rest = candidates
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            after = candidates & later[low.bit_length() - 1]
+            if needed == 2:  # after holds the family's possible last members
+                count += after.bit_count()
+            elif after:
+                stack.append((after, needed - 1))
+    return count
 
 
 def _families(square: LatinSquare, k: int,
@@ -357,20 +451,48 @@ def iter_quasicomplete_mappings(square: LatinSquare) -> Iterator[MappingRecord]:
     or a second value twice; only sigmas that used the repeat are kept.
     """
     rows = _as_square(square).rows
+    spare = 1 << 2 * len(rows)
     return (_classified(rows, tuple([c + 1 for c in picked]))
-            for picked, _ in _transversal_cols(rows, repeat=True))
+            for picked, key in _transversal_cols(rows, repeat=True)
+            if key >= spare)
 
 
 def find_quasicomplete_mappings(square: LatinSquare,
                                 limit: int | None = None) -> list[MappingRecord]:
-    """All quasicomplete mappings (or the first `limit`, lexicographically)."""
+    """All quasicomplete mappings (or the first `limit`, lexicographically).
+
+    With a limit this is the lazy row search of
+    `iter_quasicomplete_mappings`.  Without one it joins the half-squares,
+    as `find_transversals` does, and builds each record from the picks:
+    the join knows the special symbol, and sigma_bar's sum then gives the
+    repeated one.
+    """
     _check_limit(limit)
-    return list(islice(iter_quasicomplete_mappings(square), limit))
+    if limit is not None:
+        return list(islice(iter_quasicomplete_mappings(square), limit))
+    rows = _as_square(square).rows
+    n = len(rows)
+    h = n // 2  # rows in the bottom band
+    total = n * (n + 1) // 2
+    found = []
+    for picked, entries in _join(rows, repeat=True):
+        cols = tuple([c + 1 for c in picked])
+        values = tuple([rows[x][c] for x, c in enumerate(picked)])
+        # a tail starts with its bottom's columns, so this is bottom order
+        for tail, special in sorted([(t, special) for special, tails in entries
+                                     for t in tails]):
+            bar = values + tail[h:]
+            twice = sum(bar) - total + special
+            x1 = bar.index(twice) + 1
+            found.append(MappingRecord(n, cols + tail[:h], bar, "quasicomplete",
+                                       special, (x1, bar.index(twice, x1) + 1)))
+    return found
 
 
 def count_quasicomplete_mappings(square: LatinSquare) -> int:
-    """The number of quasicomplete mappings, found by the row search of
-    `iter_quasicomplete_mappings` but counted without building a single
-    MappingRecord."""
+    """The number of quasicomplete mappings, found as
+    `find_quasicomplete_mappings` finds them but counted per key, without
+    building a single MappingRecord."""
     rows = _as_square(square).rows
-    return sum(1 for _ in _transversal_cols(rows, repeat=True))
+    return sum(tops * bottoms
+               for tops, bottoms in _join(rows, repeat=True, count=True))

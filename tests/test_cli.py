@@ -6,7 +6,8 @@ import io
 import pytest
 
 import grids
-from latinsq import LatinSquare, cli, cyclic_square, format_lsq, parse_lsq
+from latinsq import (LatinSquare, cli, cyclic_square, format_lsq, parse_lsq,
+                     random_square)
 
 CYC3_TEXT = format_lsq(cyclic_square(3))
 QC4_TEXT = format_lsq(LatinSquare(grids.QC_BASE4))
@@ -195,6 +196,46 @@ class TestEnumeration:
         code, _, err = run_cli(capsys, "transversals", path)
         assert code == 2
         assert "complete square is required" in err
+
+
+COUNT_SQUARES = {"cyclic5": cyclic_square(5), "cyclic7": cyclic_square(7),
+                 "random6": random_square(6, 1)}
+COUNT_BYTES = {  # square: {--disjoint K or None for qcmappings: (code, out, err)}
+    "cyclic5": {"0": (2, "", "error: family size must be in 1..5, got 0\n"),
+                "1": (0, "15\n", ""), "2": (0, "30\n", ""), "3": (0, "30\n", ""),
+                "5": (0, "3\n", ""),
+                "6": (2, "", "error: family size must be in 1..5, got 6\n"),
+                None: (0, "0\n", "")},
+    "cyclic7": {"0": (2, "", "error: family size must be in 1..7, got 0\n"),
+                "1": (0, "133\n", ""), "2": (0, "3780\n", ""),
+                "3": (0, "27958\n", ""), "7": (0, "635\n", ""),
+                "8": (2, "", "error: family size must be in 1..7, got 8\n"),
+                None: (0, "0\n", "")},
+    "random6": {"0": (2, "", "error: family size must be in 1..6, got 0\n"),
+                "1": (0, "8\n", ""), "2": (0, "4\n", ""), "3": (0, "0\n", ""),
+                "6": (0, "0\n", ""),
+                "7": (2, "", "error: family size must be in 1..6, got 7\n"),
+                None: (0, "130\n", "")},
+}
+
+
+@pytest.mark.parametrize("name, k", [
+    (name, k) for name, cases in COUNT_BYTES.items() for k in cases])
+def test_count_bytes_frozen(capsys, monkeypatch, name, k):
+    monkeypatch.setattr("sys.stdin", io.StringIO(format_lsq(COUNT_SQUARES[name])))
+    argv = (["qcmappings", "-", "--count"] if k is None
+            else ["transversals", "-", "--disjoint", k, "--count"])
+    assert run_cli(capsys, *argv) == COUNT_BYTES[name][k]
+
+
+@pytest.mark.parametrize("k", ["2.5", "x"])
+def test_disjoint_count_rejects_non_integer(capsys, monkeypatch, k):
+    monkeypatch.setattr("sys.stdin", io.StringIO(format_lsq(cyclic_square(5))))
+    code, out, err = run_cli(capsys, "transversals", "-", "--disjoint", k, "--count")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: latinsq transversals [-h] [--count | --list]")
+    assert err.endswith("latinsq transversals: error: argument --disjoint: "
+                        f"invalid int value: {k!r}\n")
 
 
 class TestProlong:

@@ -10,6 +10,7 @@ from latinsq import (
     GridError,
     LatinSquare,
     conjugated_mapping,
+    count_disjoint_families,
     count_quasicomplete_mappings,
     count_transversals,
     cyclic_square,
@@ -22,7 +23,7 @@ from latinsq import (
     random_square,
     transversal_of,
 )
-from latinsq.oracle import oracle_quasicomplete
+from latinsq.oracle import oracle_disjoint_families, oracle_quasicomplete
 
 CYC3 = cyclic_square(3)
 QC4 = LatinSquare(grids.QC_BASE4)
@@ -181,6 +182,30 @@ class TestDisjointFamilies:
             with pytest.raises(DomainError, match="family size must be in 1..3"):
                 find_disjoint_transversals(CYC3, k)
 
+    def test_count_equals_list(self):
+        squares = [cyclic_square(n) for n in range(1, 8)]
+        squares += [random_square(n, seed) for n in range(1, 8) for seed in range(3)]
+        for sq in squares:
+            for k in range(1, sq.order + 1):
+                want = len(find_disjoint_transversals(sq, k))
+                assert count_disjoint_families(sq, k) == want, (sq.rows, k)
+                if sq.order <= 5:
+                    assert want == len(oracle_disjoint_families(sq, k)), (sq.rows, k)
+        for n in (8, 9):
+            sq = cyclic_square(n)
+            assert count_disjoint_families(sq, 2) == \
+                len(find_disjoint_transversals(sq, 2)), n
+
+    def test_count_rejects_what_the_list_rejects(self):
+        sq = cyclic_square(5)
+        for k in (0, 6, True, "2"):
+            with pytest.raises(DomainError) as listed:
+                find_disjoint_transversals(sq, k)
+            with pytest.raises(DomainError, match="family size must be in 1..5") \
+                    as counted:
+                count_disjoint_families(sq, k)
+            assert str(counted.value) == str(listed.value), k
+
 
 class TestQuasicompleteMappings:
     def test_example_square(self):
@@ -233,8 +258,18 @@ class TestQuasicompleteMappings:
     def test_odd_cyclic_squares_have_none(self):
         # sigma_bar sums to 0 mod n, and at odd n that forces a repeated
         # symbol to be the missing one
-        for n in range(1, 10, 2):
+        for n in range(1, 12, 2):
             assert count_quasicomplete_mappings(cyclic_square(n)) == 0, n
+
+    def test_full_list_equals_row_search(self):
+        # n = 1 has an empty bottom half; the order-2 identity is
+        # quasicomplete
+        squares = [cyclic_square(n) for n in range(1, 10)]
+        squares += [random_square(n, seed) for n in range(1, 9) for seed in range(3)]
+        for sq in squares:
+            found = list(iter_quasicomplete_mappings(sq))
+            assert find_quasicomplete_mappings(sq) == found, sq.rows
+            assert count_quasicomplete_mappings(sq) == len(found), sq.rows
 
     def test_limit_is_a_prefix(self):
         full = find_quasicomplete_mappings(QC4)
@@ -265,12 +300,14 @@ def test_limit_check_is_shared():
     (CYC3, lambda sq: find_transversals(sq, limit=2)),
     (CYC3, lambda sq: count_transversals(sq)),
     (CYC3, lambda sq: find_disjoint_transversals(sq, 2)),
+    (CYC3, lambda sq: count_disjoint_families(sq, 2)),
     (QC4, lambda sq: list(iter_quasicomplete_mappings(sq))),
     (QC4, lambda sq: find_quasicomplete_mappings(sq)),
     (QC4, lambda sq: count_quasicomplete_mappings(sq)),
     (CYC3, lambda sq: permuted(sq, (3, 1, 2), (2, 3, 1))),
 ], ids=["transversal_of", "conjugated_mapping", "iter_transversals",
         "find_transversals", "count_transversals", "find_disjoint_transversals",
+        "count_disjoint_families",
         "iter_quasicomplete_mappings", "find_quasicomplete_mappings",
         "count_quasicomplete_mappings", "permuted"])
 def test_plain_grid_input(square, call):
