@@ -322,8 +322,9 @@ def random_square(order: int, seed: int) -> LatinSquare:
     order, backtracking within the row when stuck.  Any Latin rectangle
     extends to a Latin square, so rows never need to be revisited.  The
     distribution is NOT uniform over all Latin squares of the order.  The
-    backtracking within a row is exponential by order 64, and order 100
-    does not finish (ROADMAP.md, Open item 1).
+    backtracking within a row blows up on some seeds far below order 64:
+    of seeds 0-5, 1 takes over 5 s at order 34 and 4 do at order 40, and
+    seed 1 at order 51 runs for minutes (ROADMAP.md, Open item 1).
     """
     if not (_is_int(order) and order >= 1):
         raise DomainError(f"order must be a positive int, got {order!r}")

@@ -26,10 +26,13 @@ enumeration of transversals or quasicomplete mappings (no limit) meets
 in the middle instead: the row search runs once over the bottom half of
 the rows, filing each partial under its column and symbol masks, and
 once over the top half, whose partials each look up their complements:
-the same list, in the same order, for far less search.  The list and
-the count run this one join, with the partials or their number as the
-entry, so `count_transversals` and `count_quasicomplete_mappings` build
-no result.  A limited or lazy search keeps the row search, as the join
+the same list, in the same order, for far less search.  The list files
+each bottom partial as its raw column picks and builds the result tails
+filed under a key only when a top partial first meets that key; most
+bottom partials of a random square are never met.  The list and the count run
+this one join, with the partials or their number as the entry, so
+`count_transversals` and `count_quasicomplete_mappings` build no
+result.  A limited or lazy search keeps the row search, as the join
 must finish the bottom half first.
 
 One driver builds disjoint families member by member.  With a limit it
@@ -137,9 +140,9 @@ def _classified(rows, sigma: tuple[int, ...]) -> MappingRecord:
 
 def _transversal_cols(rows, allowed: list[int] | None = None,
                       repeat: bool = False) -> Iterator[tuple[list[int], int]]:
-    """Yield the 0-based column picks of every transversal whose cell in
-    row x lies in the column bitmask allowed[x] (any column if allowed is
-    None), in lexicographic order.
+    """Yield the column picks of every transversal whose cell in row x
+    lies in the column bitmask allowed[x] (any column if allowed is None),
+    in lexicographic order.  A pick lists the 1-based column of each row.
 
     rows may be a band of a square's rows: the search then yields every
     partial transversal of the band.  Each pick comes with its key, the
@@ -153,15 +156,20 @@ def _transversal_cols(rows, allowed: list[int] | None = None,
     2n: with repeat it says whether the pick took a symbol twice.
 
     The one list yielded is updated in place; copy it to keep it.  The
-    search runs on an explicit stack, one level per row, so no order can
-    overflow the recursion limit.
+    search runs on an explicit stack, one level per row but the last, so
+    no order can overflow the recursion limit.  The last row gets no level
+    of its own: each pick in the row before it runs through the last row's
+    free columns in one inner loop and yields the leaves from there.  A
+    band of one row has no row before its last, so it yields from the
+    stack.
     """
     n = len(rows[0])
     depth = len(rows)
     spare = 1 << n
     if allowed is None:
         allowed = [spare - 1] * depth
-    vbits = [[1 << (v - 1) for v in row] for row in rows]
+    # symbol bits by 1-based column
+    vbits = [[0] + [1 << (v - 1) for v in row] for row in rows]
     picked = [0] * depth
     avail = [0] * depth
     cols_used = [0] * depth
@@ -169,6 +177,8 @@ def _transversal_cols(rows, allowed: list[int] | None = None,
     avail[0] = allowed[0]
     vals_used[0] = 0 if repeat else spare
     last = depth - 1
+    last_allowed = allowed[last]
+    last_vbits = vbits[last]
     x = 0
     while x >= 0:
         a = avail[x]
@@ -177,7 +187,7 @@ def _transversal_cols(rows, allowed: list[int] | None = None,
             continue
         bit = a & -a
         avail[x] = a ^ bit
-        c = bit.bit_length() - 1
+        c = bit.bit_length()
         vbit = vbits[x][c]
         vals = vals_used[x]
         if vals & vbit:
@@ -185,18 +195,34 @@ def _transversal_cols(rows, allowed: list[int] | None = None,
                 continue
             vbit = spare
         picked[x] = c
-        if x == last:
-            yield picked, cols_used[x] | bit | (vals | vbit) << n
+        used = cols_used[x] | bit
+        vals |= vbit
+        if x + 1 < last:
+            x += 1
+            cols_used[x] = used
+            vals_used[x] = vals
+            avail[x] = allowed[x] & ~used
             continue
-        x += 1
-        cols_used[x] = used = cols_used[x - 1] | bit
-        vals_used[x] = vals | vbit
-        avail[x] = allowed[x] & ~used
+        if x == last:  # a band of one row, which has no row before its last
+            yield picked, used | vals << n
+            continue
+        a = last_allowed & ~used
+        while a:
+            bit = a & -a
+            a ^= bit
+            c = bit.bit_length()
+            vbit = last_vbits[c]
+            if vals & vbit:
+                if vals >= spare:
+                    continue
+                vbit = spare
+            picked[last] = c
+            yield picked, used | bit | (vals | vbit) << n
 
 
 def _transversal(rows, picked: list[int]) -> Transversal:
-    return Transversal(len(rows), tuple(c + 1 for c in picked),
-                       tuple(rows[x][c] for x, c in enumerate(picked)))
+    return Transversal(len(rows), tuple(picked),
+                       tuple([rows[x][c - 1] for x, c in enumerate(picked)]))
 
 
 def iter_transversals(square: LatinSquare) -> Iterator[Transversal]:
@@ -210,18 +236,23 @@ def _join(rows, repeat: bool = False, count: bool = False):
     with repeat over every quasicomplete mapping.
 
     The rows split into a top band of ceil(n/2) rows and a bottom band of
-    the h others.  Each partial pick of the bottom band goes into the
-    entry of its key: the tuple of its tails (its h 1-based columns, then
-    its h symbols), in the order they came.  Each top partial then looks
-    up the keys of the bottom partials that complete it, and is yielded
-    with what it found.  The picks list is updated in place.
+    the h others.  Each partial pick of the bottom band is filed raw under
+    its key, as the tuple of its h columns, in the order they came.  Each
+    top partial then looks up the keys of the bottom partials that
+    complete it, and is yielded with what it found.  The first top
+    partial to meet a key builds that key's tails, one pair (the h
+    columns, the h symbols) per bottom partial, and files them in place
+    of the raw picks, so a key that no top meets costs one tuple per
+    partial and no tail.  The picks list is updated in place.
 
     A transversal's top has one complement, the columns and symbols it
     misses, and is yielded as (picks, tails).  A quasicomplete top is
     yielded as (picks, [(special, tails), ...]), one pair for each key
-    with an entry.  A quasicomplete mapping misses one symbol, special,
-    which its top misses too.  With M the symbols the top misses, the
-    bottom takes the other columns and is
+    with an entry.  Tops that share a key find the same pairs, so each
+    distinct top key is looked up once and its list kept for the next.
+    A quasicomplete mapping misses one symbol, special, which its top
+    misses too.  With M the symbols the top misses, the bottom takes the
+    other columns and is
       - a plain pick on M less special, if the top took a symbol twice;
       - otherwise a pick on M less special that took a symbol twice,
       - or a plain pick on M less special plus one symbol the top took.
@@ -258,14 +289,24 @@ def _join(rows, repeat: bool = False, count: bool = False):
     else:
         table = {}
         for picked, key in bottom:
-            tail = tuple([c + 1 for c in picked]
-                         + [rows[x][c] for x, c in enumerate(picked, split)])
-            table[key] = table.get(key, ()) + (tail,)
+            table.setdefault(key, []).append(tuple(picked))
+
+        def meet(key):
+            entry = table[key]
+            if type(entry) is list:  # raw picks: build the tails once
+                table[key] = entry = tuple([
+                    (cols, tuple([rows[x][c - 1]
+                                  for x, c in enumerate(cols, split)]))
+                    for cols in entry])
+            return entry
+        memo = {}
     get = table.get
     for picks, key in top:
         if not repeat:  # both keys carry the spare bit, and XOR flips the rest
             entry = get(key ^ want)
             if entry:
+                if type(entry) is list:
+                    entry = meet(key ^ want)
                 yield picks, entry
             continue
         base = ~key & want  # the columns and symbols the top misses
@@ -274,10 +315,14 @@ def _join(rows, repeat: bool = False, count: bool = False):
             if key < spare:  # each lookup also counted the plain picks on M
                 found -= (n - split) * get(base, 0)
         else:
-            others = ([0] if key >= spare
-                      else [spare] + [b for b in sym_bits if key & b])
-            found = [((m >> n).bit_length(), e) for m in sym_bits if base & m
-                     for b in others if (e := get(base ^ m | b))]
+            found = memo.get(key)
+            if found is None:
+                others = ([0] if key >= spare
+                          else [spare] + [b for b in sym_bits if key & b])
+                memo[key] = found = [
+                    ((m >> n).bit_length(), meet(k))
+                    for m in sym_bits if base & m
+                    for b in others if (k := base ^ m | b) in table]
         if found:
             yield picks, found
 
@@ -296,12 +341,12 @@ def find_transversals(square: LatinSquare,
         return list(islice(iter_transversals(square), limit))
     rows = _as_square(square).rows
     n = len(rows)
-    h = n // 2  # rows in the bottom band
     found = []
     for picked, tails in _join(rows):
-        cols = tuple([c + 1 for c in picked])
-        values = tuple([rows[x][c] for x, c in enumerate(picked)])
-        found += [Transversal(n, cols + t[:h], values + t[h:]) for t in tails]
+        cols = tuple(picked)
+        values = tuple([rows[x][c - 1] for x, c in enumerate(picked)])
+        found += [Transversal(n, cols + tail_cols, values + tail_values)
+                  for tail_cols, tail_values in tails]
     return found
 
 
@@ -452,7 +497,7 @@ def iter_quasicomplete_mappings(square: LatinSquare) -> Iterator[MappingRecord]:
     """
     rows = _as_square(square).rows
     spare = 1 << 2 * len(rows)
-    return (_classified(rows, tuple([c + 1 for c in picked]))
+    return (_classified(rows, tuple(picked))
             for picked, key in _transversal_cols(rows, repeat=True)
             if key >= spare)
 
@@ -472,19 +517,18 @@ def find_quasicomplete_mappings(square: LatinSquare,
         return list(islice(iter_quasicomplete_mappings(square), limit))
     rows = _as_square(square).rows
     n = len(rows)
-    h = n // 2  # rows in the bottom band
     total = n * (n + 1) // 2
     found = []
     for picked, entries in _join(rows, repeat=True):
-        cols = tuple([c + 1 for c in picked])
-        values = tuple([rows[x][c] for x, c in enumerate(picked)])
+        cols = tuple(picked)
+        values = tuple([rows[x][c - 1] for x, c in enumerate(picked)])
         # a tail starts with its bottom's columns, so this is bottom order
-        for tail, special in sorted([(t, special) for special, tails in entries
-                                     for t in tails]):
-            bar = values + tail[h:]
+        for (tail_cols, tail_values), special in sorted(
+                [(t, special) for special, tails in entries for t in tails]):
+            bar = values + tail_values
             twice = sum(bar) - total + special
             x1 = bar.index(twice) + 1
-            found.append(MappingRecord(n, cols + tail[:h], bar, "quasicomplete",
+            found.append(MappingRecord(n, cols + tail_cols, bar, "quasicomplete",
                                        special, (x1, bar.index(twice, x1) + 1)))
     return found
 

@@ -1,6 +1,8 @@
 """Transversals, disjoint families, and (quasi)complete mappings."""
 
+import random
 import time
+from itertools import permutations
 
 import pytest
 
@@ -23,6 +25,7 @@ from latinsq import (
     random_square,
     transversal_of,
 )
+from latinsq.mappings import _transversal_cols
 from latinsq.oracle import oracle_disjoint_families, oracle_quasicomplete
 
 CYC3 = cyclic_square(3)
@@ -83,6 +86,66 @@ class TestConjugatedMapping:
                 conjugated_mapping(CYC3, sigma)
 
 
+def brute_force_picks(band, allowed, repeat):
+    """Every (1-based column picks, key) `_transversal_cols` should yield
+    for the rows of band, from all column choices in lexicographic order."""
+    n = len(band[0])
+    out = []
+    for cols in permutations(range(1, n + 1), len(band)):
+        if any(not allowed[x] >> (c - 1) & 1 for x, c in enumerate(cols)):
+            continue
+        values = [row[c - 1] for row, c in zip(band, cols)]
+        twice = len(band) - len(set(values))  # repeats, counted with multiplicity
+        if twice > (1 if repeat else 0):
+            continue
+        key = sum(1 << (c - 1) for c in cols)
+        key |= sum(1 << (v - 1) for v in set(values)) << n
+        if twice or not repeat:  # the spare bit, bit 2n
+            key |= 1 << 2 * n
+        out.append((list(cols), key))
+    return out
+
+
+class TestRowSearchKernel:
+    """The row search on bands of 1-3 rows and on whole squares, held to a
+    brute-force reference.  A band's last row runs in its own loop, from
+    the row before it; a band of one row has no row before it."""
+
+    def bands(self):
+        squares = [cyclic_square(n) for n in (1, 2, 3, 5)] + [QC4]
+        squares += [random_square(n, seed) for n in (4, 5, 6) for seed in range(2)]
+        for sq in squares:
+            for depth in range(1, min(3, sq.order) + 1):
+                for start in range(sq.order - depth + 1):
+                    yield sq.rows[start:start + depth]
+            yield sq.rows
+
+    def test_equals_brute_force(self):
+        for band in self.bands():
+            full = [(1 << len(band[0])) - 1] * len(band)
+            for repeat in (False, True):
+                got = [(list(picked), key)
+                       for picked, key in _transversal_cols(band, repeat=repeat)]
+                assert got == brute_force_picks(band, full, repeat), (band, repeat)
+
+    def test_allowed_masks_ban_cells(self):
+        # as the family search does: earlier members' cells are banned, and
+        # the first row is held to a window of columns
+        rng = random.Random(7)
+        for band in self.bands():
+            n = len(band[0])
+            for _ in range(4):
+                banned = [rng.getrandbits(n) & rng.getrandbits(n) for _ in band]
+                allowed = [((1 << n) - 1) & ~b for b in banned]
+                low = rng.randrange(n)
+                allowed[0] &= (2 << rng.randrange(low, n)) - (1 << low)
+                for repeat in (False, True):
+                    got = [(list(picked), key) for picked, key
+                           in _transversal_cols(band, allowed, repeat)]
+                    assert got == brute_force_picks(band, allowed, repeat), \
+                        (band, allowed, repeat)
+
+
 class TestFindTransversals:
     def test_cyclic3_lexicographic(self):
         assert [t.cols for t in find_transversals(CYC3)] == \
@@ -103,6 +166,8 @@ class TestFindTransversals:
         # transversals
         squares = [cyclic_square(n) for n in range(1, 11)]
         squares += [random_square(n, seed) for n in range(1, 10) for seed in range(3)]
+        # few of its bottom partials meet a top partial: 787 of 8,156
+        squares.append(random_square(10, 0))
         for sq in squares:
             found = list(iter_transversals(sq))
             assert find_transversals(sq) == found, sq.rows
