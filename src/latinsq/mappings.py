@@ -27,19 +27,17 @@ in the middle instead: the row search runs once over the bottom half of
 the rows, filing each partial under its column and symbol masks, and
 once over the top half, whose partials each look up their complements:
 the same list, in the same order, for far less search.  The list files
-each bottom partial as its raw column picks and builds the result tails
-filed under a key only when a top partial first meets that key; most
-bottom partials of a random square are never met.  The list and the count run
-this one join, with the partials or their number as the entry, so
-`count_transversals` and `count_quasicomplete_mappings` build no
-result.  A limited or lazy search keeps the row search, as the join
-must finish the bottom half first.
+each bottom partial as its raw column picks, and the count as their
+number, so `count_transversals` and `count_quasicomplete_mappings`
+build no result.  A quasicomplete bottom is filed under each key a top
+can complete it by, so a top makes one lookup per symbol it misses.  A
+limited or lazy search keeps the row search, as the join must finish
+the bottom half first.
 
-One driver builds disjoint families member by member.  With a limit it
-searches each member with the cells of the earlier members masked out,
-so it stops at the first families; without one it draws the members
-from a single list of every transversal.  `count_disjoint_families`
-counts them on bitsets of that list instead, building no family.
+With a limit, disjoint families are built member by member, each member
+searched with the earlier members' cells masked out.  Without one, the
+list and `count_disjoint_families` share one walk over bitsets of the
+list of every transversal.
 
 Every function takes a LatinSquare or a plain grid that forms one; any
 other grid raises GridError.
@@ -47,11 +45,11 @@ other grid raises GridError.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
-from operator import itemgetter
+from functools import reduce
+from itertools import accumulate, compress, islice
+from operator import itemgetter, or_
 from typing import Iterator, Sequence
 
 from .core import (DomainError, LatinSquare, _as_square, _check_limit,
@@ -236,37 +234,35 @@ def _join(rows, repeat: bool = False, count: bool = False):
     with repeat over every quasicomplete mapping.
 
     The rows split into a top band of ceil(n/2) rows and a bottom band of
-    the h others.  Each partial pick of the bottom band is filed raw under
-    its key, as the tuple of its h columns, in the order they came.  Each
-    top partial then looks up the keys of the bottom partials that
-    complete it, and is yielded with what it found.  The first top
-    partial to meet a key builds that key's tails, one pair (the h
-    columns, the h symbols) per bottom partial, and files them in place
-    of the raw picks, so a key that no top meets costs one tuple per
-    partial and no tail.  The picks list is updated in place.
+    the h others.  Each bottom partial is filed under its key: the list
+    files the tuple of its h columns, in the order they came, and the
+    count their number.  Each top partial then looks up the keys of the
+    bottoms that complete it and is yielded with what it found; with
+    count the tops are tabled by key too, and each distinct key is
+    yielded once, as (its number of top partials, the number of bottoms
+    completing one).  Both bands come in lexicographic order, so a top
+    followed by the bottoms it found, in order, is lexicographic too.
 
     A transversal's top has one complement, the columns and symbols it
-    misses, and is yielded as (picks, tails).  A quasicomplete top is
-    yielded as (picks, [(special, tails), ...]), one pair for each key
-    with an entry.  Tops that share a key find the same pairs, so each
-    distinct top key is looked up once and its list kept for the next.
+    misses, and is yielded as (picks, tails), one pair (the h columns, the
+    h symbols) per bottom.  The first top to meet a key builds its tails
+    in place of the raw picks, so a key no top meets builds no tail.  The
+    picks list is updated in place.
+
     A quasicomplete mapping misses one symbol, special, which its top
     misses too.  With M the symbols the top misses, the bottom takes the
     other columns and is
       - a plain pick on M less special, if the top took a symbol twice;
       - otherwise a pick on M less special that took a symbol twice,
       - or a plain pick on M less special plus one symbol the top took.
-    Both bands come in lexicographic order, so a top pick followed by the
-    tails it found, merged, is lexicographic too.
-
-    With count, each entry is the number of its bottom partials, and the
-    top partials are tabled by key too: each distinct key is yielded once,
-    as (its number of top partials, the number of bottoms completing
-    one).  A bottom that took a symbol twice is also counted under its
-    key without the spare bit, and a plain one under its key less each of
-    its symbols.  The entry of a plain top's M less special then counts
-    the second and third kinds of bottom above, and also the plain picks
-    on M itself, which are taken off once per special.
+    So each bottom is filed under every key a top can complete it by: one
+    that took a symbol twice under its key without the spare bit, a plain
+    one under its own key and under its key less each of its symbols,
+    tagged with that symbol.  A top looks up M less each symbol of M.  A
+    tag the top misses marks a plain pick on exactly M, which would make
+    a transversal: the list skips it, and the count takes those picks off
+    once per lookup.  The list yields (picks, [(sigma, special), ...]) in
+    sigma order.
     """
     n = len(rows)
     split = (n + 1) // 2
@@ -279,11 +275,6 @@ def _join(rows, repeat: bool = False, count: bool = False):
     top = _transversal_cols(rows[:split], repeat=repeat)
     if count:
         table = Counter(map(itemgetter(1), bottom))
-        if repeat:
-            for key, k in list(table.items()):
-                for less in ([key ^ spare] if key >= spare
-                             else [key ^ b for b in sym_bits if key & b]):
-                    table[less] = table.get(less, 0) + k
         tops = Counter(map(itemgetter(1), top))
         top = zip(tops.values(), tops)
     else:
@@ -299,7 +290,16 @@ def _join(rows, repeat: bool = False, count: bool = False):
                                   for x, c in enumerate(cols, split)]))
                     for cols in entry])
             return entry
-        memo = {}
+    if repeat:  # file each bottom under every key a top can complete it by
+        table, filed = {}, table
+        for key, entry in filed.items():
+            homes = ([(key ^ spare, 0)] if key >= spare else
+                     [(key, 0)] + [(key ^ b, b) for b in sym_bits if key & b])
+            for less, tag in homes:
+                if count:
+                    table[less] = table.get(less, 0) + entry
+                else:
+                    table.setdefault(less, []).append((tag, entry))
     get = table.get
     for picks, key in top:
         if not repeat:  # both keys carry the spare bit, and XOR flips the rest
@@ -310,21 +310,19 @@ def _join(rows, repeat: bool = False, count: bool = False):
                 yield picks, entry
             continue
         base = ~key & want  # the columns and symbols the top misses
-        if count:
-            found = sum([get(base ^ m, 0) for m in sym_bits if base & m])
-            if key < spare:  # each lookup also counted the plain picks on M
-                found -= (n - split) * get(base, 0)
-        else:
-            found = memo.get(key)
-            if found is None:
-                others = ([0] if key >= spare
-                          else [spare] + [b for b in sym_bits if key & b])
-                memo[key] = found = [
-                    ((m >> n).bit_length(), meet(k))
-                    for m in sym_bits if base & m
-                    for b in others if (k := base ^ m | b) in table]
+        found = 0 if count else []
+        for m in sym_bits:
+            if base & m and (entry := get(base ^ m)):
+                if count:
+                    found += entry
+                else:
+                    special = (m >> n).bit_length()
+                    found += [((*picks, *cols), special) for tag, picked in entry
+                              if not tag & base for cols in picked]
+        if count and key < spare:  # each lookup also counted the plain picks on M
+            found -= (n - split) * get(base, 0)
         if found:
-            yield picks, found
+            yield picks, found if count else sorted(found)
 
 
 def find_transversals(square: LatinSquare,
@@ -369,16 +367,18 @@ def find_disjoint_transversals(square: LatinSquare, k: int,
     per transversal; k = n asks for a partition of all n^2 cells into
     transversals, i.e. an orthogonal mate of the square.
 
-    One driver builds the families member by member.  With a limit it
-    searches each member directly, with the cells of the earlier members
-    masked out, and stops at the first `limit` families.  Without one it
-    takes the members from a single list of every transversal, which is
-    faster when every family is wanted.
+    With a limit the families are built member by member, each member
+    searched directly with the cells of the earlier members masked out,
+    so the search stops at the first `limit` families.  Without one they
+    come from the bitset walk that `count_disjoint_families` counts on,
+    which is faster when every family is wanted.
     """
     square = _as_square(square)
     _check_family_size(k, square.order)
     _check_limit(limit)
-    return list(islice(_families(square, k, limit is None), limit))
+    if limit is None:
+        return _all_families(square, k, count=False)
+    return list(islice(_families(square, k), limit))
 
 
 def _check_family_size(k, n: int) -> None:
@@ -388,50 +388,73 @@ def _check_family_size(k, n: int) -> None:
 
 def count_disjoint_families(square: LatinSquare, k: int) -> int:
     """The number of families `find_disjoint_transversals` lists, counted
-    on bitsets without building a single family.
-
-    Transversal i of the one full list is bit i, and each cell holds the
-    bitset of the transversals through it.  later[i] is the bitset of the
-    transversals above i that pass through none of i's cells.  A family's
-    next member is any bit of the AND of its members' later sets, so the
-    search runs over those bits on an explicit stack, and counts the
-    choices of each family's last member with one popcount.
-    """
+    on its bitset walk without building a single family."""
     square = _as_square(square)
+    _check_family_size(k, square.order)
+    return _all_families(square, k, count=True)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+# a bitset's binary digits, lowest first, as bytes 1 and 0 for compress
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _all_families(square: LatinSquare, k: int, count: bool):
+    """Every family of k disjoint transversals, lexicographically, or
+    with count their number, drawn from the list of every transversal.
+
+    Transversal i of that pool is bit i.  Each cell holds the bitset of
+    the transversals through it, and later[i] the bitset of those above i
+    that miss all of i's cells, so a family's next member is a bit of the
+    AND of its members' later sets, within the row-1 window of
+    `_families`.  The walk yields each family's first k - 2 members with
+    that AND, the candidates for member k - 1; ANDed with later of member
+    k - 1, it gives member k's.  The count finishes with a popcount, the
+    list by expanding both bitsets.  The walk recurses k - 2 deep, and
+    only after every transversal is listed, which no order near the
+    recursion limit allows.
+    """
     n = square.order
-    _check_family_size(k, n)
     pool = find_transversals(square)
     if k == 1:
-        return len(pool)
+        return len(pool) if count else [(t,) for t in pool]
+    spots = [[x * n + c - 1 for x, c in enumerate(t.cols)] for t in pool]
     cells = [0] * (n * n)
-    for i, t in enumerate(pool):
-        for x, c in enumerate(t.cols):
-            cells[x * n + c - 1] |= 1 << i
+    for i, spot in enumerate(spots):
+        for cell in spot:
+            cells[cell] |= 1 << i
     everyone = (1 << len(pool)) - 1
-    later = []
-    for i, t in enumerate(pool):
-        meets = 0
-        for x, c in enumerate(t.cols):
-            meets |= cells[x * n + c - 1]
-        later.append((everyone ^ meets) & -(2 << i))
-    count = 0
-    stack = [(everyone, k)]  # a family's candidates, and the members it needs
-    while stack:
-        candidates, needed = stack.pop()
-        rest = candidates
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            after = candidates & later[low.bit_length() - 1]
-            if needed == 2:  # after holds the family's possible last members
-                count += after.bit_count()
-            elif after:
-                stack.append((after, needed - 1))
-    return count
+    later = [(everyone ^ reduce(or_, map(cells.__getitem__, spot))) & -(2 << i)
+             for i, spot in enumerate(spots)]
+    # window[c]: the transversals whose row-1 column is at most c
+    window = [0, *accumulate(cells[:n], or_)]
+
+    def walk(family: tuple[Transversal, ...], common: int):
+        if len(family) + 2 == k:
+            yield family, common
+            return
+        for i in _bits(common & window[n - k + len(family) + 1]):
+            yield from walk((*family, pool[i]), common & later[i])
+
+    if count:
+        return sum([(common & later[i]).bit_count()
+                    for _, common in walk((), everyone) for i in _bits(common)])
+    found = []
+    for family, common in walk((), everyone):
+        for i in _bits(common):
+            last = bin(common & later[i])[:1:-1].encode().translate(_DIGITS)
+            found += [(*family, pool[i], t) for t in compress(pool, last)]
+    return found
 
 
-def _families(square: LatinSquare, k: int,
-              combine: bool) -> Iterator[tuple[Transversal, ...]]:
+def _families(square: LatinSquare, k: int) -> Iterator[tuple[Transversal, ...]]:
     """Yield every family of k disjoint transversals, in lexicographic
     order, building each family member by member on an explicit stack.
 
@@ -439,35 +462,23 @@ def _families(square: LatinSquare, k: int,
     is ascending row-1 column: member j + 1 takes a row-1 column above
     member j's, and at most n - k + j to leave one for each member after
     it.  The family's cells are one bitmask, bit x*n + c for the 0-based
-    cell (x, c).  With combine, a member's candidates are the transversals
-    of one up-front enumeration in that window whose cells miss the
-    family's; otherwise the row search finds them with those cells
-    banned.  Both sources are lexicographic, so they give the same list.
+    cell (x, c), and the row search finds each member with those cells
+    banned, so the first families come without listing every transversal.
     """
     n = square.order
     rows = square.rows
+    full = (1 << n) - 1
 
     def cell_mask(cols) -> int:
         return sum(1 << (x * n + c - 1) for x, c in enumerate(cols))
 
     # members(used, lowest, top): the candidates missing the cells in used
     # whose 0-based row-1 column lies in lowest..top, lexicographically
-    if combine:
-        pool = [(t, cell_mask(t.cols)) for t in find_transversals(square)]
-        heads = [t.cols[0] for t, _ in pool]  # ascending, as the pool is
-
-        def members(used: int, lowest: int, top: int) -> Iterator[Transversal]:
-            window = pool[bisect_right(heads, lowest):
-                          bisect_right(heads, top + 1)]
-            return (t for t, m in window if not m & used)
-    else:
-        full = (1 << n) - 1
-
-        def members(used: int, lowest: int, top: int) -> Iterator[Transversal]:
-            allowed = [full & ~(used >> (x * n)) for x in range(n)]
-            allowed[0] &= (2 << top) - (1 << lowest)
-            return (_transversal(rows, picked)
-                    for picked, _ in _transversal_cols(rows, allowed))
+    def members(used: int, lowest: int, top: int) -> Iterator[Transversal]:
+        allowed = [full & ~(used >> (x * n)) for x in range(n)]
+        allowed[0] &= (2 << top) - (1 << lowest)
+        return (_transversal(rows, picked)
+                for picked, _ in _transversal_cols(rows, allowed))
 
     family: list[Transversal] = []
     used = 0
@@ -519,16 +530,12 @@ def find_quasicomplete_mappings(square: LatinSquare,
     n = len(rows)
     total = n * (n + 1) // 2
     found = []
-    for picked, entries in _join(rows, repeat=True):
-        cols = tuple(picked)
-        values = tuple([rows[x][c - 1] for x, c in enumerate(picked)])
-        # a tail starts with its bottom's columns, so this is bottom order
-        for (tail_cols, tail_values), special in sorted(
-                [(t, special) for special, tails in entries for t in tails]):
-            bar = values + tail_values
+    for _, mappings in _join(rows, repeat=True):
+        for sigma, special in mappings:
+            bar = tuple([rows[x][c - 1] for x, c in enumerate(sigma)])
             twice = sum(bar) - total + special
             x1 = bar.index(twice) + 1
-            found.append(MappingRecord(n, cols + tail_cols, bar, "quasicomplete",
+            found.append(MappingRecord(n, sigma, bar, "quasicomplete",
                                        special, (x1, bar.index(twice, x1) + 1)))
     return found
 

@@ -13,12 +13,20 @@ import pytest
 
 from latinsq import (
     complete_partial,
+    conjugated_mapping,
+    count_disjoint_families,
+    count_quasicomplete_mappings,
     count_transversals,
+    cyclic_square,
     find_disjoint_transversals,
     find_quasicomplete_mappings,
     find_transversals,
 )
-from latinsq.oracle import oracle_disjoint_families, oracle_transversals
+from latinsq.oracle import (
+    oracle_disjoint_families,
+    oracle_quasicomplete,
+    oracle_transversals,
+)
 
 
 def bordered(n):
@@ -60,6 +68,45 @@ def test_order5_mates_match_the_oracle(reduced):
                 for sq in reduced[5]]
     assert sum(has_mate) == 6
     assert has_mate == [bool(oracle_disjoint_families(sq, 5)) for sq in reduced[5]]
+
+
+def test_quasicomplete_lists_and_counts_match_the_oracle(reduced):
+    # every square here with a transversal has bottom-band picks on exactly
+    # the symbols some top-band pick misses, which the full list must skip
+    squares = [sq for n in range(1, 6) for sq in reduced[n]]
+    assert len(squares) == 63
+    for sq in squares:
+        sigmas = oracle_quasicomplete(sq)
+        assert find_quasicomplete_mappings(sq) == \
+            [conjugated_mapping(sq, sigma) for sigma in sigmas], sq.rows
+        assert count_quasicomplete_mappings(sq) == len(sigmas), sq.rows
+
+
+def test_family_lists_and_counts_match_the_oracle(reduced):
+    for n in range(1, 6):
+        for sq in reduced[n]:
+            for k in range(1, n + 1):
+                families = find_disjoint_transversals(sq, k)
+                assert [tuple(t.cols for t in family) for family in families] \
+                    == oracle_disjoint_families(sq, k), (sq.rows, k)
+                assert count_disjoint_families(sq, k) == len(families)
+
+
+def test_family_counts_equal_the_list_on_the_seeded_pools(pool):
+    for squares in pool.values():
+        for sq in squares:
+            for k in range(2, min(4, sq.order) + 1):
+                assert count_disjoint_families(sq, k) == \
+                    len(find_disjoint_transversals(sq, k)), (sq.rows, k)
+
+
+def test_cyclic7_family_counts_frozen():
+    # regression values of this enumeration, not published figures
+    sq = cyclic_square(7)
+    assert [count_disjoint_families(sq, k) for k in range(1, 8)] == \
+        [133, 3780, 27958, 52703, 23037, 4445, 635]
+    assert [len(find_disjoint_transversals(sq, k)) for k in range(1, 8)] == \
+        [133, 3780, 27958, 52703, 23037, 4445, 635]
 
 
 def test_order6_transversal_range(order6_counts):
