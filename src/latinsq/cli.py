@@ -22,20 +22,23 @@ and then shared by later runs in that process.  Building it takes 1-2
 ms (one subparser alone would take 0.2-0.6 ms), which leaves a console
 run's wall time unchanged within noise.  Every --count counts without
 building a result: the transversal and quasicomplete lists and counts
-run one meet-in-the-middle join, and families are counted on bitsets
+run one meet-in-the-middle join of the two halves of the square, each
+built row by row as bitmask keys, and families are counted on bitsets
 (see latinsq.mappings).
 In `transversals` and `qcmappings`, --limit caps --list output and
 applies only to it: given without --list it is a usage error (exit 2).
 
 Exit codes: 0 success; 1 `verify` found an invalid square; 2 usage,
 parse, or parameter errors; 3 infeasible request (no completion or
-contraction exists).  Output is byte-deterministic for identical
-invocations.
+contraction exists); 141 (128 + SIGPIPE) the reader closed standard
+output early, as `head` does, which prints nothing on stderr.  Output is
+byte-deterministic for identical invocations.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache, partial
 
@@ -43,8 +46,14 @@ from . import constructions, core, mappings
 from .core import DomainError, GridError, InfeasibleError
 
 
+_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer its reader left
+
+
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    if code == _BROKEN_PIPE:  # the exit's flush of unwritten output goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 def run(argv=None) -> int:
@@ -54,6 +63,8 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader closed the output: not an error of ours
+        return _BROKEN_PIPE
     except (GridError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

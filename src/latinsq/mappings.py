@@ -17,22 +17,17 @@ pair) and exactly one symbol (the special one) never occurs.  Complete
 and quasicomplete mappings are the raw material of the prolongation
 constructions in `latinsq.constructions`.
 
-One row search finds transversals, disjoint families and quasicomplete
-mappings: backtracking with column/symbol bitmasks on an explicit stack,
-never recursive, in lexicographic sigma order; a quasicomplete search is
-a transversal search that may take one symbol twice.  Counts grow fast,
-so the finders accept a limit; `iter_*` variants yield lazily.  A full
-enumeration of transversals or quasicomplete mappings (no limit) meets
-in the middle instead: the row search runs once over the bottom half of
-the rows, filing each partial under its column and symbol masks, and
-once over the top half, whose partials each look up their complements:
-the same list, in the same order, for far less search.  The list files
-each bottom partial as its raw column picks, and the count as their
-number, so `count_transversals` and `count_quasicomplete_mappings`
-build no result.  A quasicomplete bottom is filed under each key a top
-can complete it by, so a top makes one lookup per symbol it misses.  A
-limited or lazy search keeps the row search, as the join must finish
-the bottom half first.
+Counts grow fast, so the finders accept a limit; `iter_*` variants
+yield lazily.  A lazy or limited search runs one row search:
+backtracking with column/symbol bitmasks on an explicit stack, never
+recursive, in lexicographic sigma order; a quasicomplete search is a
+transversal search that may take one symbol twice.  A full enumeration
+of transversals or quasicomplete mappings (no limit) meets in the middle
+instead, for the same list in the same order: each half of the rows is
+built level by level as bitmask keys, the bottom half is filed by key,
+and each partial of the top half looks up the keys that complete it
+(see `_join`).  The counts build keys only, so `count_transversals` and
+`count_quasicomplete_mappings` build no result.
 
 With a limit, disjoint families are built member by member, each member
 searched with the earlier members' cells masked out.  Without one, the
@@ -48,8 +43,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, compress, islice
-from operator import itemgetter, or_
+from itertools import accumulate, chain, compress, islice
+from operator import or_
 from typing import Iterator, Sequence
 
 from .core import (DomainError, LatinSquare, _as_square, _check_limit,
@@ -137,29 +132,23 @@ def _classified(rows, sigma: tuple[int, ...]) -> MappingRecord:
 
 
 def _transversal_cols(rows, allowed: list[int] | None = None,
-                      repeat: bool = False) -> Iterator[tuple[list[int], int]]:
-    """Yield the column picks of every transversal whose cell in row x
-    lies in the column bitmask allowed[x] (any column if allowed is None),
-    in lexicographic order.  A pick lists the 1-based column of each row.
+                      repeat: bool = False) -> Iterator[list[int]]:
+    """Yield the column picks of every transversal of the square rows
+    whose cell in row x lies in the column bitmask allowed[x] (any column
+    if allowed is None), in lexicographic order.  A pick lists the 1-based
+    column of each row.
 
-    rows may be a band of a square's rows: the search then yields every
-    partial transversal of the band.  Each pick comes with its key, the
-    column mask of the picked cells ORed with their symbol mask shifted
-    up by the width n of the rows.
-
-    With repeat, a pick may also take one symbol twice (a full one that
-    does is a quasicomplete mapping).  The repeat is a spare bit above the
-    n symbol bits of vals_used; a transversal search starts with it set,
-    so no symbol is taken twice.  The spare bit is part of the key, as bit
-    2n: with repeat it says whether the pick took a symbol twice.
+    With repeat, the picks are instead those that take one symbol twice:
+    the quasicomplete mappings.  The repeat is a spare bit above the n
+    symbol bits of vals_used; a transversal search starts with it set, so
+    no symbol is taken twice, and a pick is yielded only if it is set.
 
     The one list yielded is updated in place; copy it to keep it.  The
     search runs on an explicit stack, one level per row but the last, so
     no order can overflow the recursion limit.  The last row gets no level
     of its own: each pick in the row before it runs through the last row's
-    free columns in one inner loop and yields the leaves from there.  A
-    band of one row has no row before its last, so it yields from the
-    stack.
+    free columns in one inner loop and yields the leaves from there.  An
+    order-1 square has no row before its last, so it yields from the stack.
     """
     n = len(rows[0])
     depth = len(rows)
@@ -201,21 +190,22 @@ def _transversal_cols(rows, allowed: list[int] | None = None,
             vals_used[x] = vals
             avail[x] = allowed[x] & ~used
             continue
-        if x == last:  # a band of one row, which has no row before its last
-            yield picked, used | vals << n
+        if x == last:  # order 1, which has no row before its last
+            if vals >= spare:
+                yield picked
             continue
         a = last_allowed & ~used
         while a:
             bit = a & -a
             a ^= bit
             c = bit.bit_length()
-            vbit = last_vbits[c]
-            if vals & vbit:
+            if vals & last_vbits[c]:
                 if vals >= spare:
                     continue
-                vbit = spare
+            elif vals < spare:  # with repeat, a pick that took no symbol twice
+                continue
             picked[last] = c
-            yield picked, used | bit | (vals | vbit) << n
+            yield picked
 
 
 def _transversal(rows, picked: list[int]) -> Transversal:
@@ -226,7 +216,7 @@ def _transversal(rows, picked: list[int]) -> Transversal:
 def iter_transversals(square: LatinSquare) -> Iterator[Transversal]:
     """Yield every transversal, in lexicographic column order."""
     rows = _as_square(square).rows
-    return (_transversal(rows, picked) for picked, _ in _transversal_cols(rows))
+    return (_transversal(rows, picked) for picked in _transversal_cols(rows))
 
 
 def _join(rows, repeat: bool = False, count: bool = False):
@@ -234,20 +224,28 @@ def _join(rows, repeat: bool = False, count: bool = False):
     with repeat over every quasicomplete mapping.
 
     The rows split into a top band of ceil(n/2) rows and a bottom band of
-    the h others.  Each bottom partial is filed under its key: the list
-    files the tuple of its h columns, in the order they came, and the
-    count their number.  Each top partial then looks up the keys of the
-    bottoms that complete it and is yielded with what it found; with
-    count the tops are tabled by key too, and each distinct key is
-    yielded once, as (its number of top partials, the number of bottoms
-    completing one).  Both bands come in lexicographic order, so a top
-    followed by the bottoms it found, in order, is lexicographic too.
+    the h others.  A band is built level by level, one list comprehension
+    per row, and one row-1 branch at a time, so it comes in lexicographic
+    order and at most one branch is held.  A partial is one int whose low
+    2n + 1 bits are its key: its columns' bits ORed with its symbols' bits
+    shifted up by n.  A cell's mask is built the same way, so one AND
+    tests its column and its symbol.  With repeat, the spare bit 2n says
+    that a partial took a symbol twice, and each cell is offered twice:
+    plainly, and with the spare bit to a partial holding its symbol but
+    not that bit.  The counts build keys only and table them in Counters.
+    The list packs each row's column and symbol above the key, row 1's
+    highest, so codes compare as their picks do and a level is a list of
+    ints, which the garbage collector never scans.
 
-    A transversal's top has one complement, the columns and symbols it
-    misses, and is yielded as (picks, tails), one pair (the h columns, the
-    h symbols) per bottom.  The first top to meet a key builds its tails
-    in place of the raw picks, so a key no top meets builds no tail.  The
-    picks list is updated in place.
+    The bottoms are filed under their keys, the list's in order, and each
+    top looks up the keys of the bottoms that complete it, so a top
+    followed by the bottoms it found, in order, is lexicographic too.  A
+    transversal's top has one complement, the columns and symbols it
+    misses, so the top band's last row keeps only the tops whose
+    complement is filed.  The count sums their bottoms per branch; the
+    list yields ((columns, symbols), tails), one such pair per bottom.
+    The first top to meet a key unpacks its tails in place of the raw
+    partials, so a key no top meets unpacks none.
 
     A quasicomplete mapping misses one symbol, special, which its top
     misses too.  With M the symbols the top misses, the bottom takes the
@@ -261,68 +259,109 @@ def _join(rows, repeat: bool = False, count: bool = False):
     tagged with that symbol.  A top looks up M less each symbol of M.  A
     tag the top misses marks a plain pick on exactly M, which would make
     a transversal: the list skips it, and the count takes those picks off
-    once per lookup.  The list yields (picks, [(sigma, special), ...]) in
-    sigma order.
+    once per lookup.  The count tables the tops by key, so each distinct
+    key is looked up once.  The list packs each top and bottom it matches
+    into one sigma, sorts a branch's sigmas and yields (sigma, sigma_bar,
+    special) for each.
     """
     n = len(rows)
     split = (n + 1) // 2
+    h = n - split
     spare = 1 << 2 * n
     want = spare - 1
     sym_bits = [1 << i for i in range(n, 2 * n)]  # the symbols' bits in a key
-    # order 1: the bottom band is empty, with one partial of empty key
-    bottom = (_transversal_cols(rows[split:], repeat=repeat) if split < n
-              else [([], 0 if repeat else spare)])
-    top = _transversal_cols(rows[:split], repeat=repeat)
+    # the list packs row x's column and symbol above the key, at bit shift[x]
+    width = (n.bit_length() + 7) // 8  # bytes per column or symbol
+    shift = [2 * n + 1 + 16 * width * (n - 1 - x) for x in range(n)]
+    # (mask, val, add): a partial p may take a row's cell if p & mask == val,
+    # and becomes p | add
+    cells = []
+    for x, row in enumerate(rows):
+        entries = []
+        for c, v in enumerate(row, 1):
+            sym = 1 << n + v - 1
+            cell = 1 << c - 1 | sym
+            pick = 0 if count else (c << 8 * width | v) << shift[x]
+            entries.append((cell, 0, cell | pick))
+            if repeat:  # the symbol taken once already, the spare bit not
+                entries.append((cell | spare, sym, cell ^ sym | spare | pick))
+        cells.append(entries)
+
+    def expand(level, band):
+        for row in band:
+            level = [p | add for p in level for mask, val, add in row
+                     if p & mask == val]
+        return level
+
+    def branches(band):  # the band's partials, one row-1 branch at a time
+        for first in expand([0], band[:1]):
+            yield expand([first], band[1:])
+
+    bottom = chain.from_iterable(branches(cells[split:]))
     if count:
-        table = Counter(map(itemgetter(1), bottom))
-        tops = Counter(map(itemgetter(1), top))
-        top = zip(tops.values(), tops)
+        table = Counter(bottom)
     else:
         table = {}
-        for picked, key in bottom:
-            table.setdefault(key, []).append(tuple(picked))
+        for p in bottom:
+            table.setdefault(p & (spare | want), []).append(p)
 
         def meet(key):
             entry = table[key]
-            if type(entry) is list:  # raw picks: build the tails once
-                table[key] = entry = tuple([
-                    (cols, tuple([rows[x][c - 1]
-                                  for x, c in enumerate(cols, split)]))
-                    for cols in entry])
+            if type(entry) is list:  # raw partials: unpack the tails once
+                table[key] = entry = tuple([_unpacked(p >> shift[-1], h, width)
+                                            for p in entry])
             return entry
-    if repeat:  # file each bottom under every key a top can complete it by
-        table, filed = {}, table
-        for key, entry in filed.items():
-            homes = ([(key ^ spare, 0)] if key >= spare else
-                     [(key, 0)] + [(key ^ b, b) for b in sym_bits if key & b])
-            for less, tag in homes:
-                if count:
-                    table[less] = table.get(less, 0) + entry
-                else:
-                    table.setdefault(less, []).append((tag, entry))
+    if not repeat:  # the last row keeps only the tops a bottom completes
+        last = [(mask, add) for mask, _, add in cells[split - 1]]
+        get = table.get
+        for level in branches(cells[:split - 1]):
+            if count:
+                yield sum([get(want ^ p ^ add, 0) for p in level
+                           for mask, add in last if not p & mask])
+                continue
+            # rest, the columns and symbols p misses, is a short int
+            for p, key in [(p | add, key) for p in level
+                           for rest in [want & ~p] for mask, add in last
+                           if rest & mask == mask
+                           and (key := rest ^ mask) in table]:
+                yield _unpacked(p >> shift[split - 1], split, width), meet(key)
+        return
+    # file each bottom under every key a top can complete it by
+    table, filed = {}, table
+    for key, entry in filed.items():
+        homes = ([(key ^ spare, 0)] if key >= spare else
+                 [(key, 0)] + [(key ^ b, b) for b in sym_bits if key & b])
+        for less, tag in homes:
+            if count:
+                table[less] = table.get(less, 0) + entry
+            else:
+                table.setdefault(less, []).append((tag, entry))
     get = table.get
-    for picks, key in top:
-        if not repeat:  # both keys carry the spare bit, and XOR flips the rest
-            entry = get(key ^ want)
-            if entry:
-                if type(entry) is list:
-                    entry = meet(key ^ want)
-                yield picks, entry
-            continue
-        base = ~key & want  # the columns and symbols the top misses
-        found = 0 if count else []
-        for m in sym_bits:
-            if base & m and (entry := get(base ^ m)):
-                if count:
-                    found += entry
-                else:
-                    special = (m >> n).bit_length()
-                    found += [((*picks, *cols), special) for tag, picked in entry
-                              if not tag & base for cols in picked]
-        if count and key < spare:  # each lookup also counted the plain picks on M
-            found -= (n - split) * get(base, 0)
-        if found:
-            yield picks, found if count else sorted(found)
+    if count:
+        tops = Counter(chain.from_iterable(branches(cells[:split])))
+        yield sum([t * get(base ^ m, 0) for key, t in tops.items()
+                   for base in [~key & want] for m in sym_bits if base & m])
+        # each lookup also counted the plain picks on M
+        yield -h * sum([t * get(~key & want, 0)
+                        for key, t in tops.items() if key < spare])
+        return
+    for level in branches(cells[:split]):
+        for code, m in sorted([
+                ((p | b) >> shift[-1], m) for p in level
+                for base in [~p & want] for m in sym_bits
+                if base & m and (entry := get(base ^ m))
+                for tag, picks in entry if not tag & base for b in picks]):
+            yield *_unpacked(code, n, width), (m >> n).bit_length()
+
+
+def _unpacked(code: int, k: int, width: int):
+    """The columns and the symbols of the k picks packed in code, each a
+    column then its symbol, width bytes apiece, the first pick highest."""
+    raw = code.to_bytes(2 * k * width, "big")
+    if width > 1:
+        raw = [int.from_bytes(raw[i:i + width], "big")
+               for i in range(0, len(raw), width)]
+    return tuple(raw[::2]), tuple(raw[1::2])
 
 
 def find_transversals(square: LatinSquare,
@@ -331,8 +370,9 @@ def find_transversals(square: LatinSquare,
 
     With a limit this is the lazy row search of `iter_transversals`,
     which stops at the `limit`-th result.  Without one it joins the
-    partial transversals of the top and bottom halves of the rows, which
-    costs far less than searching all n rows; the list is the same.
+    partial transversals of the top and bottom halves of the rows, each
+    half built level by level, which costs far less than searching all n
+    rows; the list is the same.
     """
     _check_limit(limit)
     if limit is not None:
@@ -340,9 +380,7 @@ def find_transversals(square: LatinSquare,
     rows = _as_square(square).rows
     n = len(rows)
     found = []
-    for picked, tails in _join(rows):
-        cols = tuple(picked)
-        values = tuple([rows[x][c - 1] for x, c in enumerate(picked)])
+    for (cols, values), tails in _join(rows):
         found += [Transversal(n, cols + tail_cols, values + tail_values)
                   for tail_cols, tail_values in tails]
     return found
@@ -350,9 +388,11 @@ def find_transversals(square: LatinSquare,
 
 def count_transversals(square: LatinSquare) -> int:
     """The number of transversals, found as `find_transversals` finds
-    them but counted per key, without building a single Transversal."""
+    them but on keys alone: the bottom half's keys are counted in a
+    Counter, and each top's last cell adds the count of its complement.
+    No Transversal and no column pick is built."""
     rows = _as_square(square).rows
-    return sum(tops * bottoms for tops, bottoms in _join(rows, count=True))
+    return sum(_join(rows, count=True))
 
 
 def find_disjoint_transversals(square: LatinSquare, k: int,
@@ -478,7 +518,7 @@ def _families(square: LatinSquare, k: int) -> Iterator[tuple[Transversal, ...]]:
         allowed = [full & ~(used >> (x * n)) for x in range(n)]
         allowed[0] &= (2 << top) - (1 << lowest)
         return (_transversal(rows, picked)
-                for picked, _ in _transversal_cols(rows, allowed))
+                for picked in _transversal_cols(rows, allowed))
 
     family: list[Transversal] = []
     used = 0
@@ -507,10 +547,8 @@ def iter_quasicomplete_mappings(square: LatinSquare) -> Iterator[MappingRecord]:
     or a second value twice; only sigmas that used the repeat are kept.
     """
     rows = _as_square(square).rows
-    spare = 1 << 2 * len(rows)
     return (_classified(rows, tuple(picked))
-            for picked, key in _transversal_cols(rows, repeat=True)
-            if key >= spare)
+            for picked in _transversal_cols(rows, repeat=True))
 
 
 def find_quasicomplete_mappings(square: LatinSquare,
@@ -519,9 +557,9 @@ def find_quasicomplete_mappings(square: LatinSquare,
 
     With a limit this is the lazy row search of
     `iter_quasicomplete_mappings`.  Without one it joins the half-squares,
-    as `find_transversals` does, and builds each record from the picks:
-    the join knows the special symbol, and sigma_bar's sum then gives the
-    repeated one.
+    each built level by level as `find_transversals` builds them, and
+    builds each record from the picks: the join knows the special symbol,
+    and sigma_bar's sum then gives the repeated one.
     """
     _check_limit(limit)
     if limit is not None:
@@ -530,20 +568,18 @@ def find_quasicomplete_mappings(square: LatinSquare,
     n = len(rows)
     total = n * (n + 1) // 2
     found = []
-    for _, mappings in _join(rows, repeat=True):
-        for sigma, special in mappings:
-            bar = tuple([rows[x][c - 1] for x, c in enumerate(sigma)])
-            twice = sum(bar) - total + special
-            x1 = bar.index(twice) + 1
-            found.append(MappingRecord(n, sigma, bar, "quasicomplete",
-                                       special, (x1, bar.index(twice, x1) + 1)))
+    for sigma, bar, special in _join(rows, repeat=True):
+        twice = sum(bar) - total + special
+        x1 = bar.index(twice) + 1
+        found.append(MappingRecord(n, sigma, bar, "quasicomplete",
+                                   special, (x1, bar.index(twice, x1) + 1)))
     return found
 
 
 def count_quasicomplete_mappings(square: LatinSquare) -> int:
     """The number of quasicomplete mappings, found as
-    `find_quasicomplete_mappings` finds them but counted per key, without
-    building a single MappingRecord."""
+    `find_quasicomplete_mappings` finds them but on keys alone: both
+    halves' keys are counted in Counters, and each distinct top key is
+    looked up once.  No MappingRecord and no column pick is built."""
     rows = _as_square(square).rows
-    return sum(tops * bottoms
-               for tops, bottoms in _join(rows, repeat=True, count=True))
+    return sum(_join(rows, repeat=True, count=True))

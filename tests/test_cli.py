@@ -2,10 +2,14 @@
 
 import argparse
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
 import grids
+import latinsq
 from latinsq import (LatinSquare, cli, cyclic_square, format_lsq, parse_lsq,
                      random_square)
 
@@ -236,6 +240,42 @@ def test_disjoint_count_rejects_non_integer(capsys, monkeypatch, k):
     assert err.startswith("usage: latinsq transversals [-h] [--count | --list]")
     assert err.endswith("latinsq transversals: error: argument --disjoint: "
                         f"invalid int value: {k!r}\n")
+
+
+class TestBrokenPipe:
+    """A reader that closes the output early, as `head -1` does, ends the
+    run with exit code 141 (128 + SIGPIPE) and nothing on stderr."""
+
+    def test_run_returns_141_without_an_error_line(self, capsys, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(CYC3_TEXT))
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        assert cli.run(["transversals", "-", "--list"]) == 141
+        assert capsys.readouterr().err == ""
+
+    def test_console_run_closed_after_one_line(self):
+        # the 37,851 lines (about 1.2 MB) fill the pipe long before the end
+        src = os.path.dirname(os.path.dirname(latinsq.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "latinsq", "transversals", "-", "--list"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=env)
+        try:
+            proc.stdin.write(format_lsq(cyclic_square(11)).encode())
+            proc.stdin.close()
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+            err = proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert first == b"1 2 3 4 5 6 7 8 9 10 11\n"
+        assert (code, err) == (141, b"")
 
 
 class TestProlong:

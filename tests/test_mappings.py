@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -25,7 +26,7 @@ from latinsq import (
     random_square,
     transversal_of,
 )
-from latinsq.mappings import _transversal_cols
+from latinsq.mappings import _transversal_cols, _unpacked
 from latinsq.oracle import oracle_disjoint_families, oracle_quasicomplete
 
 CYC3 = cyclic_square(3)
@@ -87,8 +88,9 @@ class TestConjugatedMapping:
 
 
 def brute_force_picks(band, allowed, repeat):
-    """Every (1-based column picks, key) `_transversal_cols` should yield
-    for the rows of band, from all column choices in lexicographic order."""
+    """Every list of 1-based column picks `_transversal_cols` should yield
+    for the rows of band, from all column choices in lexicographic order:
+    those repeating no symbol, or with repeat those repeating one once."""
     n = len(band[0])
     out = []
     for cols in permutations(range(1, n + 1), len(band)):
@@ -96,13 +98,8 @@ def brute_force_picks(band, allowed, repeat):
             continue
         values = [row[c - 1] for row, c in zip(band, cols)]
         twice = len(band) - len(set(values))  # repeats, counted with multiplicity
-        if twice > (1 if repeat else 0):
-            continue
-        key = sum(1 << (c - 1) for c in cols)
-        key |= sum(1 << (v - 1) for v in set(values)) << n
-        if twice or not repeat:  # the spare bit, bit 2n
-            key |= 1 << 2 * n
-        out.append((list(cols), key))
+        if twice == (1 if repeat else 0):
+            out.append(list(cols))
     return out
 
 
@@ -124,8 +121,8 @@ class TestRowSearchKernel:
         for band in self.bands():
             full = [(1 << len(band[0])) - 1] * len(band)
             for repeat in (False, True):
-                got = [(list(picked), key)
-                       for picked, key in _transversal_cols(band, repeat=repeat)]
+                got = [list(picked)
+                       for picked in _transversal_cols(band, repeat=repeat)]
                 assert got == brute_force_picks(band, full, repeat), (band, repeat)
 
     def test_allowed_masks_ban_cells(self):
@@ -140,7 +137,7 @@ class TestRowSearchKernel:
                 low = rng.randrange(n)
                 allowed[0] &= (2 << rng.randrange(low, n)) - (1 << low)
                 for repeat in (False, True):
-                    got = [(list(picked), key) for picked, key
+                    got = [list(picked) for picked
                            in _transversal_cols(band, allowed, repeat)]
                     assert got == brute_force_picks(band, allowed, repeat), \
                         (band, allowed, repeat)
@@ -172,6 +169,31 @@ class TestFindTransversals:
             found = list(iter_transversals(sq))
             assert find_transversals(sq) == found, sq.rows
             assert count_transversals(sq) == len(found), sq.rows
+
+    def test_full_list_holds_one_branch_of_the_top_band(self):
+        # the join holds the filed bottom band and one row-1 branch of the
+        # top band at a time: about 5 MB above the 37,851 results, where
+        # the whole top band at once takes about 13 MB
+        sq = cyclic_square(11)
+        tracemalloc.start()
+        try:
+            found = find_transversals(sq)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(found) == grids.CYCLIC_TRANSVERSAL_ANCHORS[11]
+        assert peak - retained <= 8_000_000
+
+    def test_unpacked_reads_wide_fields(self):
+        # from order 256 on, the join packs each column and symbol in two
+        # bytes; no full enumeration at such an order finishes, so the
+        # unpacking is checked alone
+        picks = [(300, 5), (1, 299), (256, 65535)]
+        code = 0
+        for c, v in picks:
+            code = code << 32 | c << 16 | v
+        assert _unpacked(code, 3, 2) == ((300, 1, 256), (5, 299, 65535))
+        assert _unpacked(0x0305_0102, 2, 1) == ((3, 1), (5, 2))
 
     def test_count_reaches_order_13_anchor(self):
         assert count_transversals(cyclic_square(13)) == grids.CYCLIC13_TRANSVERSALS
